@@ -2,9 +2,10 @@
 
 Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
-simultaneously for the gate duration (master-equation evolution with photon
-leak), an optional compensating phase shifter acts on both cavity rails, and
-a second beamsplitter recombines.  The two-photon bunching of the first
+simultaneously for the gate duration (one exact unitary when lossless,
+trotterized master-equation evolution with photon leak or atomic decay), an
+optional compensating phase shifter acts on both cavity rails, and a second
+beamsplitter recombines.  The two-photon bunching of the first
 beamsplitter is what routes the |11> input through the cavity nonlinearity.
 
 The reported error is the operator-norm distance between the final state and
@@ -28,8 +29,9 @@ import numpy as np
 from . import fock
 from .dynamics import PhysParams, build_array_hamiltonian, jc_return_amplitude
 from .errors import PhysicsValidationError
-from .lindblad import (StepperConfig, atomic_decay_channels, evolve,
-                       leak_channels)
+from .lindblad import (EvolveResult, StepperConfig, _check_state,
+                       atomic_decay_channels, evolve, leak_channels,
+                       unitary_step_matrix)
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 
@@ -89,7 +91,12 @@ class SimParams:
 
 @dataclass
 class GateReport:
-    """Outcome of one run: photonic output, error, and diagnostics."""
+    """Outcome of one run: photonic output, error, and diagnostics.
+
+    ``propagation`` names the cavity-stage path ("closed_form", "stepped",
+    or "ideal_ns" for the ideal-sign self-check) and ``n_steps`` counts its
+    trotter steps (0 unless stepped).
+    """
 
     params: SimParams
     error: float
@@ -99,6 +106,8 @@ class GateReport:
     phase_shift: float
     dim: int
     wall_ms: float
+    propagation: str
+    n_steps: int
 
     def to_json(self, indent=None) -> str:
         return json.dumps({
@@ -110,6 +119,8 @@ class GateReport:
                 "phase_shift": self.phase_shift,
                 "dim": self.dim,
                 "wall_ms": self.wall_ms,
+                "propagation": self.propagation,
+                "n_steps": self.n_steps,
             },
         }, indent=indent)
 
@@ -243,6 +254,27 @@ def _ideal_reference(rho_in: fock.DensityMatrix, space: fock.StateSpace) -> np.n
     return out
 
 
+def cavity_stage(rho: fock.DensityMatrix, params: SimParams) -> tuple[EvolveResult, str]:
+    """Both cavities' transit for the gate duration; returns the result and
+    the propagation path taken.
+
+    Lossless runs take one spectral exponential exp(-i H T), which is exact,
+    so ``dt_steps`` has no effect on them ("closed_form").  With leak or
+    atomic decay channels the first-order trotter stepper runs ("stepped").
+    """
+    space = rho.space
+    h = build_array_hamiltonian(space, params.phys, frame=params.stepper.frame)
+    channels = leak_channels(space, params.ly_over_g * params.g)
+    channels += atomic_decay_channels(space, params.atom_decay_over_g * params.g)
+    if channels:
+        return evolve(rho, h, channels, params.total_time, params.stepper), "stepped"
+    u = unitary_step_matrix(h, params.total_time)
+    mat = u @ rho.matrix @ u.conj().T
+    drift, lo = _check_state(mat, params.stepper.trace_tol, "after the closed-form transit")
+    return EvolveResult(fock.DensityMatrix(space, mat, check=False), 0, drift, lo), \
+        "closed_form"
+
+
 def run_array(rho_in: fock.DensityMatrix, params: SimParams,
               space: fock.StateSpace = None, use_ideal_ns: bool = False) -> GateReport:
     """Run the full array on a valid two-photon input and score it.
@@ -263,17 +295,15 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
 
     trace_drift = 0.0
     phi = 0.0
+    propagation, n_steps = "ideal_ns", 0
     if use_ideal_ns:
         ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
         mat = ns @ mat @ ns.conj().T
     else:
-        h = build_array_hamiltonian(space, params.phys, frame=params.stepper.frame)
-        channels = leak_channels(space, params.ly_over_g * params.g)
-        channels += atomic_decay_channels(space, params.atom_decay_over_g * params.g)
-        state = fock.DensityMatrix(space, mat, check=False)
-        result = evolve(state, h, channels, params.total_time, params.stepper)
+        result, propagation = cavity_stage(fock.DensityMatrix(space, mat, check=False),
+                                           params)
         mat = np.array(result.rho.matrix)
-        trace_drift = result.trace_drift
+        trace_drift, n_steps = result.trace_drift, result.n_steps
         if params.phs:
             phi = compensating_phase(params)
             shift = phase_shifter_unitary("x1", phi, space) @ \
@@ -290,4 +320,5 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
     wall_ms = (time.perf_counter() - started) * 1e3
     return GateReport(params=params, error=error, rho_out=rho_out,
                       trace_drift=trace_drift, atom_residual=atom_residual,
-                      phase_shift=phi, dim=space.dim, wall_ms=wall_ms)
+                      phase_shift=phi, dim=space.dim, wall_ms=wall_ms,
+                      propagation=propagation, n_steps=n_steps)

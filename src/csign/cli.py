@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phs", type=int, choices=(0, 1),
                        help="enable the compensating phase shifter")
         p.add_argument("--dt-steps", dest="dt_steps", type=int,
-                       help="trotter steps per gate duration")
+                       help="trotter steps per gate duration; used only when a "
+                            "leak or decay channel is on (lossless runs are exact)")
         p.add_argument("--frame", choices=("rotating", "lab"),
                        help="stepping frame (lab resolves the optical frequency)")
         p.add_argument("--seed", type=int, help="seed for random valid inputs")

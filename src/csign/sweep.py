@@ -53,10 +53,18 @@ class Axis:
 
     @classmethod
     def from_range(cls, name: str, start: float, stop: float, step: float) -> "Axis":
+        """start, start + step, ... up to stop inclusive.
+
+        Each value is rounded once from the exact decimal start + k*step, so
+        2.0 + 23*0.05 gives 3.15 (as 63/20 does), not 3.1500000000000004.
+        """
+        from decimal import Decimal  # only range axes need it; it adds ~3 ms to import
+
         if step <= 0:
             raise PhysicsValidationError(f"axis {name}: step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return cls(name, tuple(start + k * step for k in range(max(n, 0))))
+        start_d, stop_d, step_d = (Decimal(repr(float(x))) for x in (start, stop, step))
+        n = int((stop_d - start_d) // step_d) + 1 if stop_d >= start_d else 0
+        return cls(name, tuple(float(start_d + k * step_d) for k in range(n)))
 
 
 @dataclass(frozen=True)
@@ -251,8 +259,9 @@ def find_detuned_optimum(t_values: Sequence[float], delta_values: Sequence[float
                 continue
             center = t_star if coord == "t" else d_star
             lo, hi = AXIS_DOMAINS[coord]
-            values = tuple(float(np.clip(center + k * step, lo, hi))
-                           for k in range(-12, 13))
+            # clipping at the domain edge repeats values; keep the first of each
+            values = tuple(dict.fromkeys(float(np.clip(center + k * step, lo, hi))
+                                         for k in range(-12, 13)))
             fixed = {"t": (t_star,), "delta_over_g": (d_star,)}
             fixed[coord] = values
             local = SweepSpec(axes=(Axis("t", fixed["t"]),

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from csign import circuit, fock
+from csign import circuit, fock, lindblad
 from csign.circuit import SimParams
+from csign.dynamics import build_array_hamiltonian
 from csign.errors import PhysicsValidationError
 from csign.lindblad import StepperConfig
 
@@ -288,10 +289,71 @@ class TestRunArray:
         assert payload["params"]["t"] == 1.0
         assert 0.0 <= payload["error"] <= 1.0
         assert payload["diagnostics"]["dim"] == space.dim
+        assert payload["diagnostics"]["propagation"] == "closed_form"
+        assert payload["diagnostics"]["n_steps"] == 0
 
     def test_atom_residual_positive_at_bad_duration(self, space, probe):
         report = circuit.run_array(probe, SimParams(t=2.5, stepper=FAST), space)
         assert report.atom_residual > 1e-3
+
+
+class TestClosedFormTransit:
+    """The lossless closed form against the reference trotter stepper."""
+
+    # the reference stepper's coarse steps trip its step-phase advisory
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    @staticmethod
+    def stepped_stage(rho, params):
+        frame = params.stepper.frame
+        h = build_array_hamiltonian(rho.space, params.phys, frame=frame)
+        return lindblad.evolve(rho, h, [], params.total_time,
+                               StepperConfig(dt_steps=2000, frame=frame)), "stepped"
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(1506)
+        cases = [SimParams(t=0.0, delta_over_g=0.0, phs=1),
+                 # the stepper's lab-frame round-off grows with the optical phase
+                 SimParams(t=1.0, delta_over_g=1.1, phs=0,
+                           stepper=StepperConfig(frame="lab"))]
+        for _ in range(22):
+            cases.append(SimParams(t=float(rng.uniform(0.0, 100.0)),
+                                   delta_over_g=float(rng.uniform(-6.0, 6.0)),
+                                   phs=int(rng.integers(2))))
+        return cases
+
+    def test_matches_stepper_on_random_draws(self, space, probe, monkeypatch):
+        b = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        stage_in = fock.DensityMatrix(space, b @ probe.matrix @ b.conj().T, check=False)
+        for params in self.draws():
+            closed, path = circuit.cavity_stage(stage_in, params)
+            stepped, _ = self.stepped_stage(stage_in, params)
+            assert path == "closed_form" and closed.n_steps == 0
+            assert np.max(np.abs(closed.rho.matrix - stepped.rho.matrix)) <= 1e-9, params
+            report = circuit.run_array(probe, params, space)
+            with monkeypatch.context() as patch:
+                patch.setattr(circuit, "cavity_stage", self.stepped_stage)
+                reference = circuit.run_array(probe, params, space)
+            assert abs(report.error - reference.error) <= 1e-9, params
+            assert np.max(np.abs(report.rho_out.matrix
+                                 - reference.rho_out.matrix)) <= 1e-9, params
+            assert report.trace_drift <= 1e-12
+
+    def test_leaky_run_is_stepped(self, space, probe, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return lindblad.evolve(*args, **kwargs)
+
+        monkeypatch.setattr(circuit, "evolve", spy)
+        params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
+        report = circuit.run_array(probe, params, space)
+        assert calls == [params.total_time]
+        assert (report.propagation, report.n_steps) == ("stepped", 400)
+        assert circuit.run_array(probe, SimParams(t=3.0), space).propagation == "closed_form"
+        assert calls == [params.total_time]
 
 
 class TestRandomInputAgreement:

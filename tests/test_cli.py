@@ -40,6 +40,17 @@ class TestSimulate:
         assert payload["error"] == pytest.approx(
             csign_zero_leak_error(3.0, 0.0, 1), abs=1e-9)
 
+    def test_report_names_propagation_path(self, capsys):
+        _, out, _ = run_cli(capsys, "simulate", "--t", "3", "--dt-steps", "300")
+        diagnostics = json.loads(out)["diagnostics"]
+        assert (diagnostics["propagation"], diagnostics["n_steps"]) == ("closed_form", 0)
+        assert {"trace_drift", "atom_residual", "phase_shift", "dim",
+                "wall_ms"} <= set(diagnostics)
+        _, out, _ = run_cli(capsys, "simulate", "--t", "3", "--dt-steps", "300",
+                            "--ly-over-g", "0.01")
+        diagnostics = json.loads(out)["diagnostics"]
+        assert (diagnostics["propagation"], diagnostics["n_steps"]) == ("stepped", 300)
+
     def test_zero_duration_run(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--t", "0")
         assert code == 0

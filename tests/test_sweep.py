@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from csign import sweep
+from csign import cli, sweep
 from csign.circuit import SimParams
 from csign.errors import PhysicsValidationError
 from csign.lindblad import StepperConfig
@@ -16,6 +17,7 @@ from oracles import csign_zero_leak_error
 # the step-phase advisory
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 FAST_BASE = SimParams(t=1.0, stepper=StepperConfig(dt_steps=300))
 
 
@@ -29,6 +31,12 @@ class TestAxis:
     def test_from_range_inclusive(self):
         axis = Axis.from_range("t", 2.0, 4.0, 0.5)
         assert axis.values == (2.0, 2.5, 3.0, 3.5, 4.0)
+
+    def test_range_values_have_no_float_drift(self):
+        cfg = cli._load_config(os.path.join(CONFIGS, "error_vs_duration.yaml"))
+        t_axis = next(a for a in cli._sweep_axes(cfg) if a.name == "t")
+        assert t_axis.values == tuple(k / 20 for k in range(40, 2001))
+        assert Axis.from_range("delta_over_g", 4.7897, 4.8097, 0.0005).values[8] == 4.7937
 
     def test_domain_validation(self):
         with pytest.raises(PhysicsValidationError):
@@ -199,6 +207,22 @@ class TestDetunedOptimum:
         refined = sweep.find_detuned_optimum((4.0,), (0.0, 1.0, 2.0),
                                              base=FAST_BASE, rounds=2)
         assert refined[2] <= coarse[2]
+
+    def test_local_rescans_have_no_duplicate_points(self, monkeypatch):
+        # the refinement window is clipped at the detuning domain edge
+        grids = []
+        real_run_sweep = sweep.run_sweep
+
+        def recording(spec, workers=1):
+            grids.append([(p["t"], p["delta_over_g"]) for p in spec.grid()])
+            return real_run_sweep(spec, workers=workers)
+
+        monkeypatch.setattr(sweep, "run_sweep", recording)
+        sweep.find_detuned_optimum((4.0, 4.5), (8.0, 10.0), base=FAST_BASE,
+                                   rounds=2)
+        assert len(grids) == 5
+        for grid in grids:
+            assert len(grid) == len(set(grid)), grid
 
 
 class TestRobustness:
