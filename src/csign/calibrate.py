@@ -8,12 +8,15 @@ progressions of candidate times whose near-coincidences are the good gate
 durations.  At resonance the one- and two-photon periods have the
 irrational ratio sqrt(2), so only approximate coincidences exist; a suitable
 detuning makes the two generalized Rabi frequencies commensurable instead.
+
+:func:`candidate_table` ranks the exact two-photon sign-flip times by
+:func:`transit_mismatch`; :func:`detuning_table` lists the commensurable
+detunings of given rational frequency ratios.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,79 +34,6 @@ def _angle_dist(x: float, target: float) -> float:
     return min(d, TWO_PI - d)
 
 
-@dataclass(frozen=True)
-class PhaseTarget:
-    """Per-photon-number phases (a, b, c) the transit should realize, mod 2*pi."""
-
-    a: float
-    b: float
-    c: float
-
-    @classmethod
-    def nonlinear_sign(cls) -> "PhaseTarget":
-        return cls(0.0, 0.0, math.pi)
-
-
-def check_nonlinearity(phases: PhaseTarget, tol: float = 1e-9) -> bool:
-    """True iff the phase is nonlinear in photon number: a + c != 2b (mod 2*pi)."""
-    return _angle_dist(phases.a + phases.c, 2.0 * phases.b) > tol
-
-
-@dataclass(frozen=True)
-class Progression:
-    """Arithmetic progression of times t_k = start + k * step.
-
-    ``step == 0`` marks a degenerate progression satisfied at every time
-    (the empty-cavity condition at zero detuning).
-    """
-
-    start: float
-    step: float
-    label: str = ""
-
-    @property
-    def trivial(self) -> bool:
-        return self.step == 0.0
-
-    def times(self, horizon: float) -> np.ndarray:
-        if self.trivial:
-            raise PhysicsValidationError(
-                f"progression {self.label!r} is satisfied at every time")
-        count = int(math.floor((horizon - self.start) / self.step)) + 1
-        return self.start + self.step * np.arange(max(count, 0))
-
-
-@dataclass(frozen=True)
-class ProgressionSet:
-    a: Progression
-    b: Progression
-    c: Progression
-
-
-def progressions(params: PhysParams, horizon: float) -> ProgressionSet:
-    """The three recurrence progressions up to ``horizon`` (absolute time).
-
-    A: empty-cavity phase back at its reference, period 4*pi/|delta|
-       (every time at resonance).  B and C: one- and two-photon exchange
-       amplitudes back at magnitude one, periods 2*pi/Omega_0 and
-       2*pi/Omega_1.  Even-index elements of B and C recur with sign +1,
-       odd-index elements with sign -1.
-    """
-    if horizon <= 0:
-        raise PhysicsValidationError(f"horizon must be positive, got {horizon}")
-    step_a = 2.0 * TWO_PI / abs(params.delta) if params.delta != 0 else 0.0
-    return ProgressionSet(
-        a=Progression(0.0, step_a, "empty-cavity"),
-        b=Progression(0.0, TWO_PI / rabi_frequency(0, params), "one-photon"),
-        c=Progression(0.0, TWO_PI / rabi_frequency(1, params), "two-photon"),
-    )
-
-
-def progression_sign(k: int) -> int:
-    """Sign of the surviving amplitude at the k-th recurrence: (-1)^k."""
-    return -1 if k % 2 else 1
-
-
 def transit_mismatch(params: PhysParams, tau: float) -> float:
     """How far one transit of duration tau is from the nonlinear-sign target.
 
@@ -119,40 +49,6 @@ def transit_mismatch(params: PhysParams, tau: float) -> float:
     residual = max(math.sqrt(max(0.0, 1.0 - abs(u1) ** 2)),
                    math.sqrt(max(0.0, 1.0 - abs(u2) ** 2)))
     return float(phase_miss + residual)
-
-
-def best_tau(params: PhysParams, horizon: float,
-             mismatch=None, mode: str = "sign-flip") -> tuple[float, float]:
-    """Transit duration within the horizon closest to the nonlinear-sign target.
-
-    ``mode="sign-flip"`` (default) searches the exact two-photon sign-flip
-    times, i.e. the odd elements of progression C, where the two-photon
-    condition holds identically and only the one-photon sector can miss.
-    ``mode="dense"`` scans a uniform grid (resolution 0.01 in units of the
-    two-photon half-period) with one local refinement pass; its minima sit
-    slightly off the flip times because it can trade two-photon leakage for
-    one-photon accuracy.
-    """
-    if horizon <= 0:
-        raise PhysicsValidationError(f"horizon must be positive, got {horizon}")
-    metric = mismatch if mismatch is not None else (lambda tau: transit_mismatch(params, tau))
-    if mode == "sign-flip":
-        half_period = TWO_PI / rabi_frequency(1, params)
-        candidates = np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period)
-        if candidates.size == 0:
-            raise PhysicsValidationError("horizon too short: no sign-flip time inside")
-    elif mode == "dense":
-        unit = math.pi / (math.sqrt(2.0) * params.g)
-        coarse = np.arange(0.01, horizon / unit, 0.01) * unit
-        values = np.array([metric(tau) for tau in coarse])
-        center = coarse[int(values.argmin())]
-        candidates = center + np.linspace(-0.01, 0.01, 41) * unit
-        candidates = candidates[(candidates > 0) & (candidates <= horizon)]
-    else:
-        raise PhysicsValidationError(f"unknown search mode {mode!r}")
-    values = np.array([metric(tau) for tau in candidates])
-    best = int(values.argmin())
-    return float(candidates[best]), float(values[best])
 
 
 def commensurable_detunings(r) -> float:

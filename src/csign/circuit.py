@@ -82,9 +82,7 @@ class SimParams:
             "phs": self.phs,
             "atom_decay_over_g": self.atom_decay_over_g,
             "g": self.g,
-            "dt": self.stepper.dt,
             "dt_steps": self.stepper.dt_steps,
-            "renormalize": self.stepper.renormalize,
             "frame": self.stepper.frame,
         }
 
@@ -123,10 +121,6 @@ class GateReport:
                 "n_steps": self.n_steps,
             },
         }, indent=indent)
-
-
-def default_state_space() -> fock.StateSpace:
-    return fock.default_state_space()
 
 
 @lru_cache(maxsize=None)

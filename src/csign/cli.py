@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import yaml
 
-from . import __version__, calibrate, circuit, sweep
+from . import __version__, calibrate, circuit, fock, sweep
 from .dynamics import PhysParams
 from .errors import ConfigError, DiagnosticError, PhysicsValidationError
 from .lindblad import StepperConfig
@@ -26,8 +26,7 @@ ENV_PREFIX = "CSIGN_"
 
 CONFIG_SCHEMA = {
     "physics": {"t", "delta_over_g", "ly_over_g", "phs", "atom_decay_over_g", "g"},
-    "stepper": {"dt", "dt_steps", "renormalize", "diag_every", "trace_tol",
-                "frame", "backend"},
+    "stepper": {"dt_steps", "trace_tol", "frame"},
     "sweep": {"axes", "input", "seed"},
     "calibrate": {"horizon_t", "ratios"},
     "output": {"dir", "csv_name"},
@@ -86,14 +85,9 @@ def _pick(flag_value, env_name, cast, config, section, key, default):
 
 def _sim_params(args, config) -> circuit.SimParams:
     stepper = StepperConfig(
-        dt=_pick(None, "dt", float, config, "stepper", "dt", None),
         dt_steps=_pick(args.dt_steps, "dt_steps", int, config, "stepper", "dt_steps", 20000),
-        renormalize=bool(_pick(None, "renormalize", int, config, "stepper",
-                               "renormalize", False)),
-        diag_every=_pick(None, "diag_every", int, config, "stepper", "diag_every", 0),
         trace_tol=_pick(None, "trace_tol", float, config, "stepper", "trace_tol", 1e-3),
         frame=_pick(args.frame, "frame", str, config, "stepper", "frame", "rotating"),
-        backend=_pick(None, "backend", str, config, "stepper", "backend", None),
     )
     return circuit.SimParams(
         t=_pick(args.t, "t", float, config, "physics", "t", 0.0),
@@ -112,7 +106,7 @@ def _sim_params(args, config) -> circuit.SimParams:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     params = _sim_params(args, config)
-    space = circuit.default_state_space()
+    space = fock.default_state_space()
     seed = _pick(args.seed, "seed", int, config, "sweep", "seed", 0)
     selector = _pick(args.input, "input", str, config, "sweep", "input", "p_test")
     if selector == "random":

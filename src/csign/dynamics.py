@@ -13,7 +13,7 @@ Sign convention: the detuning is ``delta = omega_a - omega_c`` throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,29 +59,18 @@ def rabi_frequency(n: int, params: PhysParams) -> float:
     return math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * (n + 1))
 
 
-def ground_energy(params: PhysParams) -> float:
-    """Energy of the uncoupled |g,0> state: -omega_c/2 - delta/2."""
-    return -0.5 * params.omega_c - 0.5 * params.delta
-
-
 @dataclass(frozen=True)
 class DressedState:
-    """Eigen-data of one invariant block (|g,n+1>, |e,n>)."""
+    """Eigen-data of one invariant block (|g,n+1>, |e,n>).
+
+    The dressed states are |+,n> = cos(theta)|g,n+1> + sin(theta)|e,n> and
+    |-,n> = -sin(theta)|g,n+1> + cos(theta)|e,n>.
+    """
 
     n: int
     theta: float
     eps_plus: float
     eps_minus: float
-
-    @property
-    def plus_vector(self) -> np.ndarray:
-        """|+,n> = cos(theta)|g,n+1> + sin(theta)|e,n>."""
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @property
-    def minus_vector(self) -> np.ndarray:
-        """|-,n> = -sin(theta)|g,n+1> + cos(theta)|e,n>."""
-        return np.array([-math.sin(self.theta), math.cos(self.theta)])
 
 
 def jc_block_eigensystem(n: int, params: PhysParams) -> DressedState:

@@ -13,12 +13,10 @@ that serialized matrices are reproducible run to run.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -38,8 +36,6 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 TRACE_TOL = 1e-12
-
-GENERATOR_NAMES = frozenset({"bs", "jc", "leak"})
 
 
 @dataclass(frozen=True, order=True)
@@ -133,10 +129,6 @@ class StateSpace:
 
     def __contains__(self, state: BasisState) -> bool:
         return state in _index_map(self)
-
-    def to_json(self) -> str:
-        """Serialize the ordered occupation tuples, for test fixtures."""
-        return json.dumps([list(s.as_tuple()) for s in self.states])
 
 
 @dataclass(frozen=True)
@@ -293,8 +285,7 @@ def _closure(frontier: set[BasisState], image_fns) -> set[BasisState]:
     return reached
 
 
-def enumerate_states(max_total_excitation: int = MAX_TOTAL_EXCITATION,
-                     generators: Iterable[str] = ("bs", "jc", "leak")) -> StateSpace:
+def enumerate_states() -> StateSpace:
     """Enumerate the basis reachable from the four computational inputs.
 
     The closure follows the pipeline stages: the beamsplitter acts before and
@@ -305,44 +296,13 @@ def enumerate_states(max_total_excitation: int = MAX_TOTAL_EXCITATION,
     pair), no branch ever excites both atoms.  An order-free closure would
     spuriously include that doubly-excited configuration.
 
-    With an empty generator set only the four seeds are returned.  The
-    computed dimension is logged; with the full generator set it is 23.
+    The computed dimension (23) is logged.
     """
-    if max_total_excitation != MAX_TOTAL_EXCITATION:
-        raise PhysicsValidationError(
-            f"only the {MAX_TOTAL_EXCITATION}-excitation array is modeled"
-        )
-    gens = frozenset(generators)
-    unknown = gens - GENERATOR_NAMES
-    if unknown:
-        raise PhysicsValidationError(f"unknown generators: {sorted(unknown)}")
-
-    seeds = set(SEEDS)
-    post_bs1 = set()
-    for s in seeds:
-        post_bs1.update(_bs_images(s) if "bs" in gens else [s])
-
-    stage_fns = []
-    if "jc" in gens:
-        stage_fns.append(_jc_images)
-    if "leak" in gens:
-        stage_fns.append(_leak_images)
-    if "jc" in gens and "bs" not in gens:
-        # Raw two-photon inputs feed both cavities at once; the exchange
-        # closure would then excite both atoms, which the model forbids.
-        raise PhysicsValidationError(
-            "the atom-field exchange closure requires the beamsplitter stage"
-        )
-    cavity_stage = _closure(post_bs1, stage_fns) if stage_fns else set(post_bs1)
-
-    post_bs2 = set()
-    for s in cavity_stage:
-        post_bs2.update(_bs_images(s) if "bs" in gens else [s])
-
-    states = tuple(sorted(seeds | post_bs1 | cavity_stage | post_bs2))
-    space = StateSpace(states)
-    logger.info("enumerated state space: dimension %d (generators=%s)",
-                space.dim, sorted(gens))
+    post_bs1 = {img for s in SEEDS for img in _bs_images(s)}
+    cavity_stage = _closure(post_bs1, (_jc_images, _leak_images))
+    post_bs2 = {img for s in cavity_stage for img in _bs_images(s)}
+    space = StateSpace(tuple(sorted(set(SEEDS) | post_bs1 | cavity_stage | post_bs2)))
+    logger.info("enumerated state space: dimension %d", space.dim)
     return space
 
 
@@ -374,11 +334,6 @@ def annihilation_matrix(rail: str, space: StateSpace) -> np.ndarray:
             if target in space:
                 mat[space.index_of(target), i] = math.sqrt(n)
     return _frozen(mat)
-
-
-def creation_matrix(rail: str, space: StateSpace) -> np.ndarray:
-    """Conjugate transpose of the annihilation matrix (truncated at the cap)."""
-    return _frozen(annihilation_matrix(rail, space).conj().T)
 
 
 @lru_cache(maxsize=None)
@@ -422,16 +377,6 @@ def total_excitation_matrix(space: StateSpace) -> np.ndarray:
     """Diagonal total-excitation operator (photons plus excited atoms)."""
     diag = [s.total_excitation for s in space.states]
     return _frozen(np.diag(np.asarray(diag, dtype=complex)))
-
-
-def dual_rail_encode(qx: int, qy: int, space: StateSpace) -> PureState:
-    """Computational basis vector |qx, qy> in the dual-rail encoding."""
-    seed = computational_seed(qx, qy)
-    if seed not in space:
-        raise PhysicsValidationError(f"{seed} is not in the provided state space")
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[space.index_of(seed)] = 1.0
-    return PureState(space, vec)
 
 
 def computational_indices(space: StateSpace) -> tuple[int, int, int, int]:

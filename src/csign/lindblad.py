@@ -8,20 +8,20 @@ interval and then adds the dissipator at first order:
 
 The unitary factor is exact (spectral exponential), so with no jump channels
 the scheme has no time-step error at all; the dissipator makes it first order
-in dt.  Jump prefactors (the leak coefficient) are folded into the L matrices.
+in dt.  A leaky run of duration T takes exactly ``dt_steps`` steps of
+dt = T / dt_steps.  Jump prefactors (the leak coefficient) are folded into
+the L matrices.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import _kernels, fock
+from . import fock
 from .errors import DiagnosticError, PhysicsValidationError
 
 
@@ -68,33 +68,20 @@ def atomic_decay_channels(space: fock.StateSpace, rate_amplitude: float) -> list
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size and diagnostic policy of the trotterized evolution.
+    """Step count and diagnostic policy of the trotterized evolution.
 
-    ``dt`` wins when given; otherwise the step is T / dt_steps.  Trace
-    renormalization is off by default so the update stays exactly the
-    first-order scheme above.
+    A run of duration T takes exactly ``dt_steps`` steps of dt = T / dt_steps.
     """
 
-    dt: Optional[float] = None
     dt_steps: int = 20000
-    renormalize: bool = False
-    diag_every: int = 0
     trace_tol: float = 1e-3
     frame: str = "rotating"
-    backend: Optional[str] = None
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise PhysicsValidationError(f"dt must be positive, got {self.dt}")
         if self.dt_steps < 1:
             raise PhysicsValidationError(f"dt_steps must be >= 1, got {self.dt_steps}")
         if self.frame not in ("rotating", "lab"):
             raise PhysicsValidationError(f"unknown frame {self.frame!r}")
-
-    def resolve_dt(self, total_time: float) -> float:
-        if self.dt is not None:
-            return self.dt
-        return total_time / self.dt_steps
 
 
 @dataclass
@@ -119,13 +106,6 @@ def unitary_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def lindblad_step(rho: np.ndarray, u: np.ndarray,
-                  channels: Sequence[LindbladChannel], dt: float) -> np.ndarray:
-    """One trotter update on a raw density matrix; returns a new array."""
-    jumps, jumps_dag, half_m = _pack_channels(channels, rho.shape[0])
-    return _kernels.step_loop(rho, u, u.conj().T, jumps, jumps_dag, half_m, dt, 1)
-
-
 def _pack_channels(channels: Sequence[LindbladChannel], dim: int):
     if channels:
         jumps = np.stack([np.asarray(c.matrix, dtype=complex) for c in channels])
@@ -133,7 +113,7 @@ def _pack_channels(channels: Sequence[LindbladChannel], dim: int):
         jumps = np.zeros((0, dim, dim), dtype=complex)
     jumps_dag = jumps.conj().transpose(0, 2, 1)
     half_m = 0.5 * np.einsum("kij,kjl->il", jumps_dag, jumps)
-    return jumps, jumps_dag, half_m
+    return jumps, np.ascontiguousarray(jumps_dag), half_m
 
 
 def _check_state(rho: np.ndarray, trace_tol: float, where: str):
@@ -154,18 +134,27 @@ def _check_state(rho: np.ndarray, trace_tol: float, where: str):
     return drift, lo
 
 
+def _step_loop(rho, u, udag, jumps, jumps_dag, half_m, dt, n_steps):
+    """Apply ``n_steps`` updates: unitary conjugation, then the dissipator."""
+    for _ in range(n_steps):
+        rho = u @ rho @ udag
+        if jumps.shape[0]:
+            acc = np.zeros_like(rho)
+            for k in range(jumps.shape[0]):
+                acc += jumps[k] @ rho @ jumps_dag[k]
+            rho = rho + dt * (acc - (half_m @ rho + rho @ half_m))
+    return rho
+
+
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
            channels: Sequence[LindbladChannel], total_time: float,
-           cfg: StepperConfig = StepperConfig(),
-           diagnostics_writer=None) -> EvolveResult:
+           cfg: StepperConfig = StepperConfig()) -> EvolveResult:
     """Step the density matrix for ``total_time`` under H and the jump channels.
 
-    Runs ceil(T / dt) updates, the last one fractional if dt does not divide
-    T.  Diagnostics (trace, smallest eigenvalue) are sampled every
-    ``cfg.diag_every`` steps when that is positive and always at the end; a
-    trace drift beyond ``cfg.trace_tol`` or a clearly negative eigenvalue
-    raises :class:`DiagnosticError`.  ``diagnostics_writer``, when given,
-    receives CSV rows (step, time, trace, min_eig).
+    Runs exactly ``cfg.dt_steps`` updates of dt = T / dt_steps, then checks
+    the state once: a trace drift beyond ``cfg.trace_tol``, a clearly
+    negative eigenvalue or a non-finite entry raises
+    :class:`DiagnosticError`.
     """
     if total_time < 0:
         raise PhysicsValidationError(f"total_time must be >= 0, got {total_time}")
@@ -175,52 +164,19 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
         return EvolveResult(rho, 0, abs(mat.trace().real - 1.0),
                             float(np.linalg.eigvalsh(mat)[0]))
 
-    dt = cfg.resolve_dt(total_time)
-    n_full = int(math.floor(total_time / dt + 1e-12))
-    remainder = total_time - n_full * dt
-    if remainder < 1e-12 * max(1.0, total_time):
-        remainder = 0.0
-
+    dt = total_time / cfg.dt_steps
     norm = float(np.linalg.norm(np.asarray(h), 2))
     if dt * norm > 0.1:
         warnings.warn(
             f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
-            "consider a smaller dt or the rotating frame",
+            "consider more dt_steps or the rotating frame",
             RuntimeWarning, stacklevel=2)
 
     jumps, jumps_dag, half_m = _pack_channels(channels, space.dim)
     u = unitary_step_matrix(h, dt)
-    udag = u.conj().T
-
-    writer = csv.writer(diagnostics_writer) if diagnostics_writer is not None else None
-    if writer is not None:
-        writer.writerow(["step", "time", "trace", "min_eig"])
-
-    chunk = cfg.diag_every if cfg.diag_every > 0 else n_full
-    done = 0
-    while done < n_full:
-        todo = min(chunk, n_full - done)
-        mat = _kernels.step_loop(mat, u, udag, jumps, jumps_dag, half_m, dt, todo,
-                                 backend=cfg.backend)
-        done += todo
-        if cfg.diag_every > 0 or done == n_full:
-            drift, lo = _check_state(mat, cfg.trace_tol, f"at step {done}")
-            if writer is not None:
-                writer.writerow([done, done * dt, mat.trace().real, lo])
-        if cfg.renormalize:
-            mat = mat / mat.trace().real
-
-    if remainder > 0:
-        u_frac = unitary_step_matrix(h, remainder)
-        mat = _kernels.step_loop(mat, u_frac, u_frac.conj().T, jumps, jumps_dag,
-                                 half_m, remainder, 1, backend=cfg.backend)
-        done += 1
-        if cfg.renormalize:
-            mat = mat / mat.trace().real
-
-    drift, lo = _check_state(mat, cfg.trace_tol, "at the final step")
-    if writer is not None:
-        writer.writerow([done, total_time, mat.trace().real, lo])
+    mat = _step_loop(mat, u, np.ascontiguousarray(u.conj().T), jumps, jumps_dag,
+                     half_m, dt, cfg.dt_steps)
+    drift, lo = _check_state(mat, cfg.trace_tol, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
-    return EvolveResult(out, done, drift, lo)
+    return EvolveResult(out, cfg.dt_steps, drift, lo)

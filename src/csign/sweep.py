@@ -146,6 +146,14 @@ def _input_state(spec: SweepSpec, space: fock.StateSpace) -> fock.DensityMatrix:
     return circuit.random_valid_input(space, rng)
 
 
+def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord:
+    return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
+                       ly_over_g=params.ly_over_g, phs=params.phs,
+                       error=float("nan"), trace_drift=float("nan"),
+                       atom_residual=float("nan"), wall_ms=0.0,
+                       status="failed", message=f"{type(exc).__name__}: {exc}")
+
+
 def evaluate_point(spec: SweepSpec, point: dict) -> SweepRecord:
     """Run one grid point; failures come back as a failed record."""
     params = _apply_point(spec.base, point)
@@ -158,32 +166,38 @@ def evaluate_point(spec: SweepSpec, point: dict) -> SweepRecord:
                            atom_residual=report.atom_residual,
                            wall_ms=report.wall_ms)
     except Exception as exc:  # per-point isolation: the sweep must not abort
-        return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
-                           ly_over_g=params.ly_over_g, phs=params.phs,
-                           error=float("nan"), trace_drift=float("nan"),
-                           atom_residual=float("nan"), wall_ms=0.0,
-                           status="failed", message=f"{type(exc).__name__}: {exc}")
+        return _failed_record(params, exc)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, in deterministic grid order.
 
-    Workers > 1 fan grid points over processes; each worker owns its buffers
-    and the records are reassembled in grid order, so the output is
-    independent of the worker count.
+    Workers > 1 fan chunks of grid points over processes and collect them
+    in grid order, so the output is independent of the worker count.  A
+    chunk whose future raises comes back as failed records naming the
+    exception.  A worker that dies breaks the pool, which fails every chunk
+    not finished by then; finished chunks keep their records.
     """
     points = spec.grid()
     if not points:
         return []
     if workers <= 1:
         return [evaluate_point(spec, p) for p in points]
+    size = max(1, len(points) // (8 * workers))
+    chunks = [points[i:i + size] for i in range(0, len(points), size)]
+    records = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(points) // (8 * workers))
-        return list(pool.map(_eval_star, [(spec, p) for p in points], chunksize=chunk))
+        futures = [pool.submit(_evaluate_chunk, spec, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                records += future.result()
+            except Exception as exc:
+                records += [_failed_record(_apply_point(spec.base, p), exc) for p in chunk]
+    return records
 
 
-def _eval_star(args) -> SweepRecord:
-    return evaluate_point(*args)
+def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
+    return [evaluate_point(spec, p) for p in points]
 
 
 @dataclass(frozen=True)

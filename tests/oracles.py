@@ -179,3 +179,26 @@ def partial_trace_atoms_oracle(matrix, states):
             if si[4:] == sj[4:]:
                 out[pidx[si[:4]], pidx[sj[:4]]] += matrix[i, j]
     return out, photon_states
+
+
+# ---------------------------------------------------------------------------
+# First-order master-equation step as a superoperator matrix
+# ---------------------------------------------------------------------------
+
+def first_order_step_superop(u, jumps, dt):
+    """One trotter step as a d^2 x d^2 matrix acting on the column-stacked vec(rho).
+
+    The step conjugates with U and then adds the dissipator at first order,
+    rho -> rho + dt * sum_k (L_k rho L_k^dag - (L_k^dag L_k rho + rho L_k^dag L_k) / 2).
+    Every term A X B is written as (B^T kron A) vec(X) (Havel, J. Math.
+    Phys. 44, 534 (2003)), so n steps are the n-th matrix power.
+    """
+    dim = u.shape[0]
+    eye = np.eye(dim)
+    dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for jump in jumps:
+        jump = np.asarray(jump, dtype=complex)
+        ldl = jump.conj().T @ jump
+        dissipator += np.kron(jump.conj(), jump) \
+            - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    return (np.eye(dim * dim) + dt * dissipator) @ np.kron(u.conj(), u)

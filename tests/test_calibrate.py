@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from csign import calibrate
-from csign.calibrate import PhaseTarget
 from csign.dynamics import PhysParams
 from csign.errors import PhysicsValidationError
 
@@ -17,88 +16,51 @@ def resonant():
     return PhysParams(g=G, omega_c=10.0, delta=0.0)
 
 
-class TestProgressions:
-    def test_resonant_periods(self):
-        ps = calibrate.progressions(resonant(), horizon=100.0)
-        assert ps.b.step == pytest.approx(math.pi / G)
-        assert ps.c.step == pytest.approx(math.pi / (math.sqrt(2.0) * G))
-        assert ps.a.trivial
-
-    def test_detuned_empty_cavity_period(self):
-        p = PhysParams(g=G, omega_c=10.0, delta=0.04)
-        ps = calibrate.progressions(p, horizon=100.0)
-        assert ps.a.step == pytest.approx(4 * math.pi / 0.04)
-        assert not ps.a.trivial
-
-    def test_elements_are_recurrence_zeros(self):
-        # every element of B has sin(Omega_0 t / 2) = 0, same for C
-        p = PhysParams(g=G, omega_c=10.0, delta=0.23)
-        ps = calibrate.progressions(p, horizon=40 * T_UNIT)
-        from csign.dynamics import rabi_frequency
-        for prog, omega in ((ps.b, rabi_frequency(0, p)), (ps.c, rabi_frequency(1, p))):
-            times = prog.times(40 * T_UNIT)
-            assert len(times) > 10
-            assert np.max(np.abs(np.sin(omega * times / 2))) <= 1e-9
-
-    def test_progression_signs(self):
-        assert calibrate.progression_sign(0) == 1
-        assert calibrate.progression_sign(1) == -1
-        assert calibrate.progression_sign(4) == 1
-
-    def test_resonant_progressions_never_coincide(self):
-        # the one- and two-photon periods have ratio sqrt(2): no exact match
-        ps = calibrate.progressions(resonant(), horizon=120 * T_UNIT)
-        b = ps.b.times(120 * T_UNIT)[1:]
-        c = ps.c.times(120 * T_UNIT)[1:]
-        sep = np.min(np.abs(b[:, None] - c[None, :]))
-        assert sep > 1e-4
-
-    def test_trivial_progression_times_raise(self):
-        ps = calibrate.progressions(resonant(), horizon=10.0)
-        with pytest.raises(PhysicsValidationError):
-            ps.a.times(10.0)
+def best_candidate(params, horizon):
+    """(t, residual) of the lowest-residual row of the candidate table."""
+    best = min(calibrate.candidate_table(params, horizon), key=lambda row: row["residual"])
+    return best["t"], best["residual"]
 
 
 class TestBestTau:
+    """The best transit duration within a horizon: the lowest-residual
+    sign-flip candidate that ``csign calibrate`` tabulates."""
+
     def test_first_optimum_is_three_units(self):
-        tau, residual = calibrate.best_tau(resonant(), horizon=3.05 * T_UNIT)
-        assert tau / T_UNIT == pytest.approx(3.0, abs=1e-12)
+        t, residual = best_candidate(resonant(), horizon=3.05 * T_UNIT)
+        assert t == pytest.approx(3.0, abs=1e-12)
         assert residual < 0.5
 
     def test_residuals_decrease_along_optima(self):
         vals = {}
-        for t in (17, 41, 99):
-            tau, residual = calibrate.best_tau(resonant(), horizon=(t + 0.5) * T_UNIT)
-            assert tau / T_UNIT == pytest.approx(t, abs=1e-9)
-            vals[t] = residual
+        for t_opt in (17, 41, 99):
+            t, residual = best_candidate(resonant(), horizon=(t_opt + 0.5) * T_UNIT)
+            assert t == pytest.approx(t_opt, abs=1e-9)
+            vals[t_opt] = residual
         assert vals[99] < vals[41] < vals[17]
 
     def test_returned_tau_is_argmin_over_candidates(self):
+        # the candidates are exactly the odd sign flips, each with its mismatch
         p = resonant()
-        horizon = 20 * T_UNIT
-        tau, residual = calibrate.best_tau(p, horizon)
-        flips = np.arange(1, 21, 2) * T_UNIT
-        values = [calibrate.transit_mismatch(p, f) for f in flips]
+        rows = calibrate.candidate_table(p, 20 * T_UNIT)
+        flips = np.arange(1, 21, 2)
+        assert np.allclose([row["t"] for row in rows], flips, atol=1e-9)
+        values = [calibrate.transit_mismatch(p, f * T_UNIT) for f in flips]
+        assert [row["residual"] for row in rows] == pytest.approx(values, abs=1e-12)
+        t, residual = best_candidate(p, 20 * T_UNIT)
         assert residual == pytest.approx(min(values), abs=1e-12)
-        assert tau == pytest.approx(flips[int(np.argmin(values))], abs=1e-9)
+        assert t == pytest.approx(flips[int(np.argmin(values))], abs=1e-9)
 
     def test_residual_monotone_in_horizon(self):
         p = resonant()
         last = math.inf
         for horizon_t in (5, 10, 20, 50, 100):
-            _, residual = calibrate.best_tau(p, horizon_t * T_UNIT)
+            _, residual = best_candidate(p, horizon_t * T_UNIT)
             assert residual <= last + 1e-15
             last = residual
 
-    def test_dense_mode_finds_nearby_minimum(self):
-        tau, residual = calibrate.best_tau(resonant(), horizon=3.2 * T_UNIT,
-                                           mode="dense")
-        assert 2.7 <= tau / T_UNIT <= 3.2
-        assert residual <= calibrate.transit_mismatch(resonant(), 3.0 * T_UNIT) + 1e-9
-
     def test_too_short_horizon(self):
-        with pytest.raises(PhysicsValidationError):
-            calibrate.best_tau(resonant(), horizon=0.1 * T_UNIT)
+        assert calibrate.candidate_table(resonant(), horizon=0.1 * T_UNIT) == []
 
 
 class TestCommensurableDetunings:
@@ -131,21 +93,6 @@ class TestCommensurableDetunings:
 
 
 class TestNonlinearity:
-    def test_csign_target_is_nonlinear(self):
-        assert calibrate.check_nonlinearity(PhaseTarget(0.0, 0.0, math.pi))
-
-    def test_zero_phases_linear(self):
-        assert not calibrate.check_nonlinearity(PhaseTarget(0.0, 0.0, 0.0))
-
-    def test_arithmetic_progression_linear(self):
-        assert not calibrate.check_nonlinearity(
-            PhaseTarget(math.pi / 3, 2 * math.pi / 3, math.pi))
-
-    def test_wraparound(self):
-        # equality modulo 2*pi counts as linear
-        assert not calibrate.check_nonlinearity(
-            PhaseTarget(0.0, math.pi, 2 * math.pi))
-
     def test_no_exact_solution_statistically(self, rng):
         # sampled (detuning, duration) pairs never satisfy the exact
         # sign-flip system; the residual floor stays clearly positive

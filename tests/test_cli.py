@@ -87,6 +87,15 @@ class TestExitCodes:
         assert code == 2
         assert "warp_speed" in err
 
+    @pytest.mark.parametrize("key,value", [("backend", "numba"), ("renormalize", "1")])
+    def test_removed_stepper_key_exits_2_and_names_key(self, capsys, tmp_path,
+                                                       key, value):
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text(f"physics:\n  t: 1.0\nstepper:\n  {key}: {value}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("physics: [unclosed\n")
@@ -186,6 +195,21 @@ class TestSweepCommand:
                 "--out", str(d2))
         for name in ("sweep.csv", "optimal_set.csv", "manifest.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_worker_count_does_not_change_files(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(
+            "physics:\n  ly_over_g: 0.01\nstepper:\n  dt_steps: 400\n"
+            "sweep:\n  axes:\n    - name: t\n      values: [2.0, 3.0, 4.0]\n"
+            "    - name: delta_over_g\n      values: [0.0, 1.5]\n")
+        outs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            run_cli(capsys, "sweep", "--config", str(cfg), "--workers", workers,
+                    "--out", str(out_dir))
+            outs.append([(out_dir / name).read_bytes()
+                         for name in ("sweep.csv", "manifest.json")])
+        assert outs[0] == outs[1]
 
     def test_sweep_without_axes_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "empty.yaml"

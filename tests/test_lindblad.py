@@ -1,16 +1,16 @@
-import io
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from csign import _kernels, dynamics, fock, lindblad
+from csign import dynamics, fock, lindblad
 from csign.dynamics import PhysParams
 from csign.errors import DiagnosticError, PhysicsValidationError
 from csign.lindblad import LindbladChannel, StepperConfig
 
-from oracles import damped_cavity_population
+from conftest import random_hermitian
+from oracles import damped_cavity_population, first_order_step_superop
 
 
 def mode_space(dim):
@@ -50,7 +50,6 @@ class TestUnitaryStep:
             assert np.allclose(u @ psi0, expected, atol=1e-10)
 
     def test_unitarity(self, rng):
-        from conftest import random_hermitian
         h = random_hermitian(rng, 8)
         u = lindblad.unitary_step_matrix(h, 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-10
@@ -62,12 +61,15 @@ class TestUnitaryStep:
 
 
 class TestLindbladStep:
+    """One trotter update: ``evolve`` with a single step."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # one coarse step
     def test_no_channels_is_pure_conjugation(self, rng):
-        from conftest import random_hermitian
         rho = random_hermitian(rng, 5, trace_one=True)
         h = random_hermitian(rng, 5)
+        out = lindblad.evolve(dm(mode_space(5), rho), h, [], 0.11,
+                              StepperConfig(dt_steps=1)).rho.matrix
         u = lindblad.unitary_step_matrix(h, 0.11)
-        out = lindblad.lindblad_step(rho, u, [], 0.11)
         assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-13)
 
     def test_trace_preserved_with_channels(self, rng):
@@ -75,44 +77,49 @@ class TestLindbladStep:
         a = lowering(dim)
         rho = np.zeros((dim, dim), dtype=complex)
         rho[2, 2] = 1.0
-        u = np.eye(dim, dtype=complex)
-        out = lindblad.lindblad_step(rho, u, [LindbladChannel(0.3 * a, "leak")], 0.01)
+        out = lindblad.evolve(dm(mode_space(dim), rho), np.zeros((dim, dim)),
+                              [LindbladChannel(0.3 * a, "leak")], 0.01,
+                              StepperConfig(dt_steps=1)).rho.matrix
         assert out.trace().real == pytest.approx(1.0, abs=1e-12)
 
-    def test_hermiticity_preserved(self, rng):
-        from conftest import random_hermitian
-        dim = 6
-        rho = random_hermitian(rng, dim, trace_one=True)
-        h = random_hermitian(rng, dim)
-        u = lindblad.unitary_step_matrix(h, 0.05)
-        out = rho
-        for _ in range(200):
-            out = lindblad.lindblad_step(out, u, [LindbladChannel(0.2 * lowering(dim))], 0.05)
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-10
 
+class TestFirstOrderOracle:
+    """``evolve`` against powers of the one-step map written as a matrix on
+    vec(rho), built independently in ``oracles.first_order_step_superop``."""
 
-class TestBackends:
-    def test_numpy_and_numba_agree(self, rng):
-        from conftest import random_hermitian
-        dim = 7
-        rho = random_hermitian(rng, dim, trace_one=True)
-        u = lindblad.unitary_step_matrix(random_hermitian(rng, dim), 0.03)
-        jumps = np.stack([0.1 * lowering(dim), 0.05 * lowering(dim) @ lowering(dim)])
-        jd = jumps.conj().transpose(0, 2, 1)
-        half_m = 0.5 * sum(jd[k] @ jumps[k] for k in range(2))
-        a = _kernels.step_loop(rho, u, u.conj().T, jumps, jd, half_m, 0.01, 50,
-                               backend="numpy")
-        if _kernels.HAVE_NUMBA:
-            b = _kernels.step_loop(rho, u, u.conj().T, jumps, jd, half_m, 0.01, 50,
-                                   backend="numba")
-            assert np.allclose(a, b, atol=1e-13)
+    def check(self, rho0, h, jumps, total, n_steps):
+        dim = rho0.shape[0]
+        dt = total / n_steps
+        step = first_order_step_superop(lindblad.unitary_step_matrix(h, dt), jumps, dt)
+        vec = np.linalg.matrix_power(step, n_steps) @ rho0.reshape(-1, order="F")
+        expected = vec.reshape(rho0.shape, order="F")
+        # the first-order map preserves trace and Hermiticity exactly
+        assert abs(expected.trace() - rho0.trace()) <= 1e-12
+        assert np.max(np.abs(expected - expected.conj().T)) <= 1e-12
+        res = lindblad.evolve(dm(mode_space(dim), rho0), h,
+                              [LindbladChannel(j) for j in jumps], total,
+                              StepperConfig(dt_steps=n_steps))
+        assert res.n_steps == n_steps
+        assert np.max(np.abs(res.rho.matrix - expected)) <= 1e-12
 
-    def test_unknown_backend_rejected(self, rng):
-        rho = np.eye(2, dtype=complex) / 2
-        with pytest.raises(ValueError):
-            _kernels.step_loop(rho, np.eye(2), np.eye(2),
-                               np.zeros((0, 2, 2)), np.zeros((0, 2, 2)),
-                               np.zeros((2, 2)), 0.1, 1, backend="gpu")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_random_draws(self, rng):
+        for _ in range(24):
+            dim = int(rng.integers(3, 9))
+            jumps = [0.1 / math.sqrt(dim) * (rng.normal(size=(dim, dim))
+                                             + 1j * rng.normal(size=(dim, dim)))
+                     for _ in range(int(rng.integers(0, 3)))]
+            self.check(random_hermitian(rng, dim, trace_one=True),
+                       random_hermitian(rng, dim), jumps,
+                       rng.uniform(0.1, 2.0), int(rng.integers(1, 201)))
+
+    def test_leak_channels_on_full_space(self, space, rng):
+        params = PhysParams(g=0.1, delta=0.037)
+        h = dynamics.build_array_hamiltonian(space, params, frame="rotating")
+        jumps = [c.matrix for c in lindblad.leak_channels(space, 3.16e-2 * params.g)]
+        total = 3.0 * math.pi / (math.sqrt(2.0) * params.g)
+        self.check(random_hermitian(rng, space.dim, trace_one=True), h, jumps,
+                   total, 120)
 
 
 class TestEvolve:
@@ -125,7 +132,6 @@ class TestEvolve:
 
     def test_zero_channels_matches_exact_conjugation(self, rng):
         # oracle: one-shot spectral exponential of the full duration
-        from conftest import random_hermitian
         dim = 6
         space = mode_space(dim)
         h = random_hermitian(rng, dim)
@@ -136,20 +142,6 @@ class TestEvolve:
         u = lindblad.unitary_step_matrix(h, total)
         exact = u @ rho0 @ u.conj().T
         assert np.max(np.abs(res.rho.matrix - exact)) < 1e-8
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_fractional_final_step(self, rng):
-        from conftest import random_hermitian
-        dim = 4
-        space = mode_space(dim)
-        h = random_hermitian(rng, dim)
-        rho0 = random_hermitian(rng, dim, trace_one=True)
-        total = 1.0
-        res = lindblad.evolve(dm(space, rho0), h, [], total,
-                              StepperConfig(dt=0.3))  # 3 full steps + 0.1
-        assert res.n_steps == 4
-        u = lindblad.unitary_step_matrix(h, total)
-        assert np.max(np.abs(res.rho.matrix - u @ rho0 @ u.conj().T)) < 1e-10
 
     def test_two_photon_recurrence(self):
         # resonant two-photon exchange returns at multiples of pi/(sqrt(2) g)
@@ -198,37 +190,13 @@ class TestEvolve:
         assert errs[2] < 0.6 * errs[1]
 
     def test_positivity_floor(self, rng):
-        from conftest import random_hermitian
         dim = 5
         space = mode_space(dim)
         rho0 = random_hermitian(rng, dim, trace_one=True)
         cfg = StepperConfig(dt_steps=1000)
         res = lindblad.evolve(dm(space, rho0), random_hermitian(rng, dim),
                               [LindbladChannel(0.1 * lowering(dim))], 5.0, cfg)
-        dt = cfg.resolve_dt(5.0)
-        assert res.min_eigenvalue >= -10.0 * dt
-
-    def test_renormalize_flag(self):
-        dim = 3
-        space = mode_space(dim)
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[1, 1] = 1.0
-        res = lindblad.evolve(dm(space, rho0), np.zeros((dim, dim)),
-                              [LindbladChannel(0.2 * lowering(dim))], 5.0,
-                              StepperConfig(dt_steps=200, renormalize=True))
-        assert res.rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagnostics_stream(self):
-        dim = 2
-        space = mode_space(dim)
-        rho0 = np.diag([0.5, 0.5]).astype(complex)
-        buf = io.StringIO()
-        lindblad.evolve(dm(space, rho0), np.zeros((dim, dim)), [], 1.0,
-                        StepperConfig(dt_steps=10, diag_every=2),
-                        diagnostics_writer=buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "step,time,trace,min_eig"
-        assert len(lines) >= 6
+        assert res.min_eigenvalue >= -10.0 * 5.0 / cfg.dt_steps
 
     def test_blowup_raises_diagnostic_error(self):
         # a huge dissipative step drives the state far from positivity
@@ -242,7 +210,6 @@ class TestEvolve:
                             10.0, StepperConfig(dt_steps=2))
 
     def test_step_warning_for_large_phase(self, rng):
-        from conftest import random_hermitian
         dim = 3
         space = mode_space(dim)
         rho0 = random_hermitian(rng, dim, trace_one=True)

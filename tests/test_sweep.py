@@ -1,5 +1,8 @@
+import concurrent.futures
+import functools
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -131,6 +134,29 @@ class TestRunSweep:
         serial = sweep.run_sweep(spec, workers=1)
         parallel = sweep.run_sweep(spec, workers=2)
         assert [r.csv_row() for r in serial] == [r.csv_row() for r in parallel]
+
+    def test_crashed_worker_fails_only_lost_points(self, monkeypatch):
+        spec = SweepSpec(axes=(Axis("t", tuple(float(t) for t in range(1, 17))),),
+                         base=FAST_BASE)
+        serial = sweep.run_sweep(spec, workers=1)
+        evaluate = sweep.evaluate_point
+
+        def crash_on_last(spec, point):
+            if point["t"] == 16.0:
+                os._exit(1)
+            return evaluate(spec, point)
+
+        monkeypatch.setattr(sweep, "evaluate_point", crash_on_last)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork")))
+        records = sweep.run_sweep(spec, workers=2)
+        assert [r.t for r in records] == [r.t for r in serial]
+        assert records[-1].status == "failed"
+        assert "BrokenProcessPool" in records[-1].message
+        kept = [(r, s) for r, s in zip(records, serial) if r.status == "ok"]
+        assert kept
+        assert all(r.csv_row() == s.csv_row() for r, s in kept)
 
     def test_errors_in_unit_interval(self):
         spec = SweepSpec(axes=(Axis("t", (0.5, 1.5, 2.5)),
