@@ -3,7 +3,7 @@
 Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
 simultaneously for the gate duration (one exact unitary when lossless,
-trotterized master-equation evolution with photon leak or atomic decay), an
+trotterized master-equation evolution with photon leak), an
 optional compensating phase shifter acts on both cavity rails, and a second
 beamsplitter recombines.  The two-photon bunching of the first
 beamsplitter is what routes the |11> input through the cavity nonlinearity.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -29,9 +29,8 @@ import numpy as np
 from . import fock
 from .dynamics import PhysParams, build_array_hamiltonian, jc_return_amplitude
 from .errors import PhysicsValidationError
-from .lindblad import (EvolveResult, StepperConfig, _check_state,
-                       atomic_decay_channels, evolve, leak_channels,
-                       unitary_step_matrix)
+from .lindblad import (EvolveResult, StepperConfig, _check_state, evolve,
+                       leak_channels, unitary_step_matrix)
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 
@@ -48,7 +47,6 @@ class SimParams:
     delta_over_g: float = 0.0
     ly_over_g: float = 0.0
     phs: int = 1
-    atom_decay_over_g: float = 0.0
     g: float = 0.1
     stepper: StepperConfig = field(default_factory=StepperConfig)
 
@@ -59,9 +57,6 @@ class SimParams:
             raise PhysicsValidationError(f"phs flag must be 0 or 1, got {self.phs}")
         if self.ly_over_g < 0:
             raise PhysicsValidationError(f"ly_over_g must be >= 0, got {self.ly_over_g}")
-        if self.atom_decay_over_g < 0:
-            raise PhysicsValidationError(
-                f"atom_decay_over_g must be >= 0, got {self.atom_decay_over_g}")
         if self.g <= 0:
             raise PhysicsValidationError(f"coupling g must be positive, got {self.g}")
 
@@ -75,16 +70,8 @@ class SimParams:
 
     def as_dict(self) -> dict:
         # everything that affects the numbers, for reports and sweep manifests
-        return {
-            "t": self.t,
-            "delta_over_g": self.delta_over_g,
-            "ly_over_g": self.ly_over_g,
-            "phs": self.phs,
-            "atom_decay_over_g": self.atom_decay_over_g,
-            "g": self.g,
-            "dt_steps": self.stepper.dt_steps,
-            "frame": self.stepper.frame,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stepper"}
+        return {**values, "dt_steps": self.stepper.dt_steps, "frame": self.stepper.frame}
 
 
 @dataclass
@@ -171,7 +158,7 @@ def ideal_ns_map(rail: str, space: fock.StateSpace) -> np.ndarray:
     return mat
 
 
-CSIGN_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
+CZ_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def ideal_csign(rho_in: np.ndarray) -> np.ndarray:
@@ -179,7 +166,7 @@ def ideal_csign(rho_in: np.ndarray) -> np.ndarray:
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (4, 4):
         raise PhysicsValidationError(f"expected a 4x4 logical matrix, got {rho_in.shape}")
-    return (CSIGN_DIAG[:, None] * rho_in) * CSIGN_DIAG[None, :]
+    return (CZ_DIAG[:, None] * rho_in) * CZ_DIAG[None, :]
 
 
 def p_test(space: fock.StateSpace) -> fock.DensityMatrix:
@@ -253,13 +240,12 @@ def cavity_stage(rho: fock.DensityMatrix, params: SimParams) -> tuple[EvolveResu
     the propagation path taken.
 
     Lossless runs take one spectral exponential exp(-i H T), which is exact,
-    so ``dt_steps`` has no effect on them ("closed_form").  With leak or
-    atomic decay channels the first-order trotter stepper runs ("stepped").
+    so ``dt_steps`` has no effect on them ("closed_form").  With the photon
+    leak on the first-order trotter stepper runs ("stepped").
     """
     space = rho.space
     h = build_array_hamiltonian(space, params.phys, frame=params.stepper.frame)
     channels = leak_channels(space, params.ly_over_g * params.g)
-    channels += atomic_decay_channels(space, params.atom_decay_over_g * params.g)
     if channels:
         return evolve(rho, h, channels, params.total_time, params.stepper), "stepped"
     u = unitary_step_matrix(h, params.total_time)

@@ -1,10 +1,11 @@
 """Command-line front end: single runs, sweeps, and calibration tables.
 
 Configuration is a YAML key-value tree with sections ``physics``, ``stepper``,
-``sweep``, ``calibrate`` and ``output``; unknown keys are rejected.  Flags
-override environment variables (prefix ``CSIGN_``), which override the config
-file.  Exit codes: 0 ok, 2 config error, 3 physics validation error,
-4 numerical diagnostic error.
+``sweep``, ``calibrate`` and ``output``; unknown keys and wrongly typed values
+are rejected.  Flags override the config file; the physics and stepper
+defaults are those of :class:`~csign.circuit.SimParams` and
+:class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
+3 physics validation error, 4 numerical diagnostic error.
 """
 
 from __future__ import annotations
@@ -18,22 +19,33 @@ import numpy as np
 import yaml
 
 from . import __version__, calibrate, circuit, fock, sweep
-from .dynamics import PhysParams
 from .errors import ConfigError, DiagnosticError, PhysicsValidationError
 from .lindblad import StepperConfig
 
-ENV_PREFIX = "CSIGN_"
-
+# each key with the type its value must have; a float key also takes a YAML int
 CONFIG_SCHEMA = {
-    "physics": {"t", "delta_over_g", "ly_over_g", "phs", "atom_decay_over_g", "g"},
-    "stepper": {"dt_steps", "trace_tol", "frame"},
-    "sweep": {"axes", "input", "seed"},
-    "calibrate": {"horizon_t", "ratios"},
-    "output": {"dir", "csv_name"},
+    "physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
+                "g": float},
+    "stepper": {"dt_steps": int, "frame": str},
+    "sweep": {"axes": list, "input": str, "seed": int},
+    "calibrate": {"horizon_t": float, "ratios": list},
+    "output": {"dir": str, "csv_name": str},
 }
 
 
+def _checked(section: str, key: str, value):
+    kind = CONFIG_SCHEMA[section].get(key)
+    if kind is None:
+        raise ConfigError(f"unknown key {section}.{key!r} in config")
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:  # exact type: a YAML bool is not an int
+        raise ConfigError(f"{section}.{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
+    """The config file as ``{section: {key: value}}``, every value type-checked."""
     if path is None:
         return {}
     try:
@@ -47,6 +59,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
+    config = {}
     for section, keys in data.items():
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
@@ -54,63 +67,34 @@ def _load_config(path: str | None) -> dict:
             continue
         if not isinstance(keys, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        for key in keys:
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key!r} in config")
-    return data
+        config[section] = {key: _checked(section, key, value)
+                           for key, value in keys.items()}
+    return config
 
 
-def _env(name: str, cast):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None or raw == "":
-        return None
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {ENV_PREFIX}{name.upper()}: {raw!r}") from exc
-
-
-def _pick(flag_value, env_name, cast, config, section, key, default):
-    """Precedence: command-line flag, then environment, then config file."""
-    if flag_value is not None:
-        return flag_value
-    env_value = _env(env_name, cast)
-    if env_value is not None:
-        return env_value
-    section_map = config.get(section) or {}
-    if key in section_map and section_map[key] is not None:
-        return cast(section_map[key])
-    return default
+def _settings(args, config, section: str) -> dict:
+    """A config section with every flag given under the same name written over it."""
+    values = dict(config.get(section, {}))
+    for key in CONFIG_SCHEMA[section]:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    return values
 
 
 def _sim_params(args, config) -> circuit.SimParams:
-    stepper = StepperConfig(
-        dt_steps=_pick(args.dt_steps, "dt_steps", int, config, "stepper", "dt_steps", 20000),
-        trace_tol=_pick(None, "trace_tol", float, config, "stepper", "trace_tol", 1e-3),
-        frame=_pick(args.frame, "frame", str, config, "stepper", "frame", "rotating"),
-    )
-    return circuit.SimParams(
-        t=_pick(args.t, "t", float, config, "physics", "t", 0.0),
-        delta_over_g=_pick(args.delta_over_g, "delta_over_g", float,
-                           config, "physics", "delta_over_g", 0.0),
-        ly_over_g=_pick(args.ly_over_g, "ly_over_g", float,
-                        config, "physics", "ly_over_g", 0.0),
-        phs=_pick(args.phs, "phs", int, config, "physics", "phs", 1),
-        atom_decay_over_g=_pick(None, "atom_decay_over_g", float,
-                                config, "physics", "atom_decay_over_g", 0.0),
-        g=_pick(None, "g", float, config, "physics", "g", 0.1),
-        stepper=stepper,
-    )
+    # t is the one physics value without a SimParams default
+    return circuit.SimParams(**{"t": 0.0, **_settings(args, config, "physics")},
+                             stepper=StepperConfig(**_settings(args, config, "stepper")))
 
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     params = _sim_params(args, config)
     space = fock.default_state_space()
-    seed = _pick(args.seed, "seed", int, config, "sweep", "seed", 0)
-    selector = _pick(args.input, "input", str, config, "sweep", "input", "p_test")
-    if selector == "random":
-        state = circuit.random_valid_input(space, np.random.default_rng(seed))
+    run = _settings(args, config, "sweep")
+    if run.get("input") == "random":
+        state = circuit.random_valid_input(space, np.random.default_rng(run.get("seed", 0)))
     else:
         state = circuit.p_test(space)
     report = circuit.run_array(state, params, space)
@@ -124,8 +108,7 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
-    section = config.get("sweep") or {}
-    axes_cfg = section.get("axes")
+    axes_cfg = config.get("sweep", {}).get("axes")
     if not axes_cfg:
         raise ConfigError("sweep requires sweep.axes in the config file")
     axes = []
@@ -136,33 +119,34 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
         if extra:
             raise ConfigError(f"unknown axis keys {sorted(extra)}")
         name = entry["name"]
-        if "values" in entry:
-            axes.append(sweep.Axis(name, tuple(float(v) for v in entry["values"])))
-        else:
-            try:
+        try:
+            if "values" in entry:
+                axes.append(sweep.Axis(name, tuple(float(v) for v in entry["values"])))
+            else:
                 axes.append(sweep.Axis.from_range(name, float(entry["start"]),
                                                   float(entry["stop"]),
                                                   float(entry["step"])))
-            except KeyError as exc:
-                raise ConfigError(f"axis {name!r} needs values or start/stop/step") from exc
+        except KeyError as exc:
+            raise ConfigError(f"axis {name!r} needs values or start/stop/step") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep.axes: bad value in axis {name!r}: {exc}") from exc
     return tuple(axes)
 
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    base = _sim_params(args, config)
+    run = _settings(args, config, "sweep")
     spec = sweep.SweepSpec(
         axes=_sweep_axes(config),
-        base=base,
-        input_state=_pick(args.input, "input", str, config, "sweep", "input", "p_test"),
-        seed=_pick(args.seed, "seed", int, config, "sweep", "seed", 0),
+        base=_sim_params(args, config),
+        input_state=run.get("input", "p_test"),
+        seed=run.get("seed", 0),
     )
-    # workers is a runtime knob, not part of the sweep identity: flag or env only
-    workers = args.workers if args.workers is not None else _env("workers", int)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    out_dir = _pick(args.out, "out", str, config, "output", "dir", "sweep_out")
-    csv_name = _pick(None, "csv_name", str, config, "output", "csv_name", "sweep.csv")
+    # workers is a runtime knob, not part of the sweep identity: flag only
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    output = config.get("output", {})
+    out_dir = args.out if args.out is not None else output.get("dir", "sweep_out")
+    csv_name = output.get("csv_name", "sweep.csv")
 
     records = sweep.run_sweep(spec, workers=workers)
     csv_path = os.path.join(out_dir, csv_name)
@@ -183,13 +167,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    section = config.get("calibrate") or {}
-    horizon_t = _pick(args.horizon_t, "horizon_t", float, config, "calibrate",
-                      "horizon_t", 0.0)
-    delta_over_g = _pick(args.delta_over_g, "delta_over_g", float,
-                         config, "physics", "delta_over_g", 0.0)
-    g = _pick(None, "g", float, config, "physics", "g", 0.1)
-    ratios = args.ratios if args.ratios is not None else section.get("ratios")
+    params = _sim_params(args, config)
+    section = _settings(args, config, "calibrate")
+    ratios = section.get("ratios")
 
     lines = []
     if ratios:
@@ -201,10 +181,10 @@ def cmd_calibrate(args) -> int:
         for row in calibrate.detuning_table(fracs):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
-        params = PhysParams(g=g, delta=delta_over_g * g)
-        unit = np.pi / (np.sqrt(2.0) * g)
+        unit = np.pi / (np.sqrt(2.0) * params.g)
         lines.append("t,delta_over_g,residual")
-        for row in calibrate.candidate_table(params, horizon_t * unit):
+        for row in calibrate.candidate_table(params.phys,
+                                             section.get("horizon_t", 0.0) * unit):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
     text = "\n".join(lines) + "\n"
@@ -232,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phs", type=int, choices=(0, 1),
                        help="enable the compensating phase shifter")
         p.add_argument("--dt-steps", dest="dt_steps", type=int,
-                       help="trotter steps per gate duration; used only when a "
-                            "leak or decay channel is on (lossless runs are exact)")
+                       help="trotter steps per gate duration; used only when the "
+                            "leak is on (lossless runs are exact)")
         p.add_argument("--frame", choices=("rotating", "lab"),
                        help="stepping frame (lab resolves the optical frequency)")
         p.add_argument("--seed", type=int, help="seed for random valid inputs")

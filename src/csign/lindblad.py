@@ -50,22 +50,6 @@ def leak_channels(space: fock.StateSpace, ly: float) -> list[LindbladChannel]:
     ]
 
 
-def atomic_decay_channels(space: fock.StateSpace, rate_amplitude: float) -> list[LindbladChannel]:
-    """Optional spontaneous-emission jumps on both atoms, L = c * sigma_minus.
-
-    Disabled (rate 0) in all reproduction runs; exposed for exploration.
-    """
-    if rate_amplitude < 0:
-        raise PhysicsValidationError(f"decay amplitude must be >= 0, got {rate_amplitude}")
-    if rate_amplitude == 0:
-        return []
-    return [
-        LindbladChannel(rate_amplitude * fock.atom_lowering_matrix(atom, space),
-                        f"decay-{atom}")
-        for atom in fock.ATOMS
-    ]
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Step count and diagnostic policy of the trotterized evolution.

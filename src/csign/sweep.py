@@ -174,9 +174,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
 
     Workers > 1 fan chunks of grid points over processes and collect them
     in grid order, so the output is independent of the worker count.  A
-    chunk whose future raises comes back as failed records naming the
-    exception.  A worker that dies breaks the pool, which fails every chunk
-    not finished by then; finished chunks keep their records.
+    worker that dies breaks the pool and every chunk not finished by then;
+    each such chunk reruns alone in a fresh one-worker pool, so only the
+    chunk that crashed is lost.  A chunk that still raises comes back as
+    failed records naming the exception.
     """
     points = spec.grid()
     if not points:
@@ -185,15 +186,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         return [evaluate_point(spec, p) for p in points]
     size = max(1, len(points) // (8 * workers))
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
-    records = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_evaluate_chunk, spec, chunk) for chunk in chunks]
-        for chunk, future in zip(chunks, futures):
-            try:
-                records += future.result()
-            except Exception as exc:
-                records += [_failed_record(_apply_point(spec.base, p), exc) for p in chunk]
-    return records
+        return [record for chunk, future in zip(chunks, futures)
+                for record in _chunk_records(spec, chunk, future)]
+
+
+def _chunk_records(spec: SweepSpec, chunk: list[dict], future) -> list[SweepRecord]:
+    try:
+        try:
+            return future.result()
+        except concurrent.futures.BrokenExecutor:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
+                return solo.submit(_evaluate_chunk, spec, chunk).result()
+    except Exception as exc:
+        return [_failed_record(_apply_point(spec.base, p), exc) for p in chunk]
 
 
 def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:

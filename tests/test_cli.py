@@ -1,11 +1,18 @@
+import glob
 import json
 import math
+import os
+from dataclasses import fields
 
 import pytest
 
 from csign import cli
+from csign.circuit import SimParams
+from csign.lindblad import StepperConfig
 
 from oracles import csign_zero_leak_error
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def run_cli(capsys, *argv):
@@ -87,14 +94,42 @@ class TestExitCodes:
         assert code == 2
         assert "warp_speed" in err
 
-    @pytest.mark.parametrize("key,value", [("backend", "numba"), ("renormalize", "1")])
+    @pytest.mark.parametrize("section,key,value", [
+        pytest.param("stepper", "backend", "numba", id="backend-numba"),
+        pytest.param("stepper", "renormalize", "1", id="renormalize-1"),
+        pytest.param("stepper", "trace_tol", "0.001", id="trace_tol-0.001"),
+        pytest.param("physics", "atom_decay_over_g", "0.1", id="atom_decay_over_g-0.1"),
+    ])
     def test_removed_stepper_key_exits_2_and_names_key(self, capsys, tmp_path,
-                                                       key, value):
+                                                       section, key, value):
         cfg = tmp_path / "old.yaml"
-        cfg.write_text(f"physics:\n  t: 1.0\nstepper:\n  {key}: {value}\n")
+        cfg.write_text(f"{section}:\n  {key}: {value}\n")
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("physics", "t", "fast"),
+        ("physics", "t", "[1, 2]"),
+        ("physics", "phs", "0.7"),
+        ("physics", "phs", "true"),
+        ("stepper", "dt_steps", "2.9"),
+    ])
+    def test_malformed_config_value_exits_2_and_names_key(self, capsys, tmp_path,
+                                                          section, key, value):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(f"{section}:\n  {key}: {value}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert f"{section}.{key}" in err
+
+    def test_malformed_axis_value_exits_2_and_names_key(self, capsys, tmp_path):
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n      values: [1.0, abc]\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "sweep.axes" in err and "'t'" in err
 
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
@@ -119,14 +154,12 @@ class TestExitCodes:
 
 
 class TestPrecedence:
-    def test_flag_beats_env_beats_config(self, capsys, tmp_path, monkeypatch):
+    def test_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("physics:\n  t: 1.0\nstepper:\n  dt_steps: 200\n")
-        monkeypatch.setenv("CSIGN_T", "2.0")
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
-        assert json.loads(out)["params"]["t"] == 2.0  # env over config
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--t", "3")
-        assert json.loads(out)["params"]["t"] == 3.0  # flag over env
+        params = json.loads(out)["params"]
+        assert (params["t"], params["dt_steps"]) == (3.0, 200)
 
     def test_config_used_when_no_override(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -137,10 +170,29 @@ class TestPrecedence:
         assert payload["params"]["phs"] == 0
         assert payload["params"]["dt_steps"] == 150
 
-    def test_bad_env_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSIGN_T", "fast")
-        code, _, err = run_cli(capsys, "simulate")
-        assert code == 2
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("CSIGN_T", "5")
+        code, out, _ = run_cli(capsys, "simulate")
+        assert code == 0
+        assert json.loads(out)["params"]["t"] == 0.0
+
+
+class TestSingleSource:
+    def test_defaults_are_the_dataclass_defaults(self, capsys):
+        _, out, _ = run_cli(capsys, "simulate", "--t", "1")
+        assert json.loads(out)["params"] == SimParams(t=1.0).as_dict()
+
+    def test_schema_keys_are_dataclass_fields(self):
+        assert set(cli.CONFIG_SCHEMA["physics"]) <= {f.name for f in fields(SimParams)}
+        assert set(cli.CONFIG_SCHEMA["stepper"]) <= {f.name for f in fields(StepperConfig)}
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
+                             ids=os.path.basename)
+    def test_shipped_configs_load(self, path):
+        args = cli.build_parser().parse_args(["sweep", "--config", path])
+        config = cli._load_config(path)
+        assert cli._sweep_axes(config)
+        assert isinstance(cli._sim_params(args, config), SimParams)
 
 
 class TestSweepCommand:

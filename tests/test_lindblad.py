@@ -235,20 +235,3 @@ class TestChannels:
                            0.07 * fock.annihilation_matrix("x1", space))
         assert np.allclose(channels[1].matrix,
                            0.07 * fock.annihilation_matrix("y1", space))
-
-    def test_atomic_decay_default_off(self, space):
-        assert lindblad.atomic_decay_channels(space, 0.0) == []
-
-    def test_atomic_decay_relaxes_excited_atom(self, space):
-        channels = lindblad.atomic_decay_channels(space, 0.5)
-        assert len(channels) == 2
-        vec = np.zeros(space.dim, dtype=complex)
-        vec[space.index_of(fock.BasisState(0, 0, 0, 0, 1, 0))] = 1.0
-        rho0 = np.outer(vec, vec.conj())
-        res = lindblad.evolve(dm(space, rho0),
-                              np.zeros((space.dim, space.dim)), channels, 4.0,
-                              StepperConfig(dt_steps=2000))
-        ground = space.index_of(fock.BasisState(0, 0, 0, 0, 0, 0))
-        # population decays at rate 0.5^2
-        assert res.rho.matrix[ground, ground].real == pytest.approx(
-            1 - math.exp(-0.25 * 4.0), abs=2e-3)

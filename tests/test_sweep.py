@@ -140,23 +140,25 @@ class TestRunSweep:
                          base=FAST_BASE)
         serial = sweep.run_sweep(spec, workers=1)
         evaluate = sweep.evaluate_point
-
-        def crash_on_last(spec, point):
-            if point["t"] == 16.0:
-                os._exit(1)
-            return evaluate(spec, point)
-
-        monkeypatch.setattr(sweep, "evaluate_point", crash_on_last)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             concurrent.futures.ProcessPoolExecutor,
             mp_context=multiprocessing.get_context("fork")))
-        records = sweep.run_sweep(spec, workers=2)
-        assert [r.t for r in records] == [r.t for r in serial]
-        assert records[-1].status == "failed"
-        assert "BrokenProcessPool" in records[-1].message
-        kept = [(r, s) for r, s in zip(records, serial) if r.status == "ok"]
-        assert kept
-        assert all(r.csv_row() == s.csv_row() for r, s in kept)
+        # the last point, and an early one whose crash breaks the pool
+        # while most chunks are still pending
+        for crash_t in (16.0, 2.0):
+            def crash_at(spec, point, crash_t=crash_t):
+                if point["t"] == crash_t:
+                    os._exit(1)
+                return evaluate(spec, point)
+
+            monkeypatch.setattr(sweep, "evaluate_point", crash_at)
+            records = sweep.run_sweep(spec, workers=2)
+            assert [r.t for r in records] == [r.t for r in serial]
+            failed = [r for r in records if r.status == "failed"]
+            assert [r.t for r in failed] == [crash_t]
+            assert "BrokenProcessPool" in failed[0].message
+            assert all(r.csv_row() == s.csv_row()
+                       for r, s in zip(records, serial) if r.t != crash_t)
 
     def test_errors_in_unit_interval(self):
         spec = SweepSpec(axes=(Axis("t", (0.5, 1.5, 2.5)),
