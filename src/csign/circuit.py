@@ -78,9 +78,11 @@ class SimParams:
 class GateReport:
     """Outcome of one run: photonic output, error, and diagnostics.
 
-    ``propagation`` names the cavity-stage path ("closed_form", "stepped",
+    ``propagation`` names the cavity-stage scheme ("closed_form", "stepped",
     or "ideal_ns" for the ideal-sign self-check) and ``n_steps`` counts its
-    trotter steps (0 unless stepped).
+    trotter steps (0 unless stepped).  A stepped run reports ``dt_steps``
+    steps: its numbers are those of that many first-order steps, even though
+    ``lindblad.evolve`` evaluates them as a matrix power.
     """
 
     params: SimParams
@@ -241,7 +243,8 @@ def cavity_stage(rho: fock.DensityMatrix, params: SimParams) -> tuple[EvolveResu
 
     Lossless runs take one spectral exponential exp(-i H T), which is exact,
     so ``dt_steps`` has no effect on them ("closed_form").  With the photon
-    leak on the first-order trotter stepper runs ("stepped").
+    leak on, the transit is ``dt_steps`` first-order trotter steps
+    ("stepped"), evaluated as a matrix power by ``lindblad.evolve``.
     """
     space = rho.space
     h = build_array_hamiltonian(space, params.phys, frame=params.stepper.frame)

@@ -33,12 +33,19 @@ CONFIG_SCHEMA = {
 }
 
 
+def _float(value, where: str) -> float:
+    # a YAML int or float; exact types, since a YAML bool is an int subclass
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where} must be float, got {value!r}")
+    return float(value)
+
+
 def _checked(section: str, key: str, value):
     kind = CONFIG_SCHEMA[section].get(key)
     if kind is None:
         raise ConfigError(f"unknown key {section}.{key!r} in config")
-    if kind is float and type(value) is int:
-        return float(value)
+    if kind is float:
+        return _float(value, f"{section}.{key}")
     if type(value) is not kind:  # exact type: a YAML bool is not an int
         raise ConfigError(f"{section}.{key} must be {kind.__name__}, got {value!r}")
     return value
@@ -93,10 +100,7 @@ def cmd_simulate(args) -> int:
     params = _sim_params(args, config)
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")
-    if run.get("input") == "random":
-        state = circuit.random_valid_input(space, np.random.default_rng(run.get("seed", 0)))
-    else:
-        state = circuit.p_test(space)
+    state = sweep.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
     report = circuit.run_array(state, params, space)
     text = report.to_json(indent=2)
     if args.out and args.out != "-":
@@ -119,17 +123,19 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
         if extra:
             raise ConfigError(f"unknown axis keys {sorted(extra)}")
         name = entry["name"]
+        where = f"sweep.axes: axis {name!r}"
         try:
             if "values" in entry:
-                axes.append(sweep.Axis(name, tuple(float(v) for v in entry["values"])))
+                axes.append(sweep.Axis(name, tuple(_float(v, f"{where} value")
+                                                   for v in entry["values"])))
             else:
-                axes.append(sweep.Axis.from_range(name, float(entry["start"]),
-                                                  float(entry["stop"]),
-                                                  float(entry["step"])))
+                axes.append(sweep.Axis.from_range(
+                    name, *(_float(entry[key], f"{where} {key}")
+                            for key in ("start", "stop", "step"))))
         except KeyError as exc:
             raise ConfigError(f"axis {name!r} needs values or start/stop/step") from exc
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.axes: bad value in axis {name!r}: {exc}") from exc
+            raise ConfigError(f"{where}: bad value: {exc}") from exc
     return tuple(axes)
 
 
@@ -212,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phs", type=int, choices=(0, 1),
                        help="enable the compensating phase shifter")
         p.add_argument("--dt-steps", dest="dt_steps", type=int,
-                       help="trotter steps per gate duration; used only when the "
-                            "leak is on (lossless runs are exact)")
+                       help="first-order trotter steps per gate duration; used "
+                            "only when the leak is on (lossless runs are exact); "
+                            "fixes the numbers but costs only about "
+                            "log2(dt-steps) small matrix products")
         p.add_argument("--frame", choices=("rotating", "lab"),
                        help="stepping frame (lab resolves the optical frequency)")
         p.add_argument("--seed", type=int, help="seed for random valid inputs")

@@ -139,11 +139,13 @@ def _apply_point(base: circuit.SimParams, point: dict) -> circuit.SimParams:
     return replace(base, **values)
 
 
-def _input_state(spec: SweepSpec, space: fock.StateSpace) -> fock.DensityMatrix:
-    if spec.input_state == "p_test":
+def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.DensityMatrix:
+    """The run input: the ``p_test`` projector, or a ``random`` valid input from ``seed``."""
+    if selector == "p_test":
         return circuit.p_test(space)
-    rng = np.random.default_rng(spec.seed)
-    return circuit.random_valid_input(space, rng)
+    if selector == "random":
+        return circuit.random_valid_input(space, np.random.default_rng(seed))
+    raise PhysicsValidationError(f"input selector must be p_test or random, got {selector!r}")
 
 
 def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord:
@@ -159,7 +161,8 @@ def evaluate_point(spec: SweepSpec, point: dict) -> SweepRecord:
     params = _apply_point(spec.base, point)
     try:
         space = fock.default_state_space()
-        report = circuit.run_array(_input_state(spec, space), params, space)
+        report = circuit.run_array(input_state(spec.input_state, spec.seed, space),
+                                    params, space)
         return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
                            ly_over_g=params.ly_over_g, phs=params.phs,
                            error=report.error, trace_drift=report.trace_drift,

@@ -202,3 +202,20 @@ def first_order_step_superop(u, jumps, dt):
         dissipator += np.kron(jump.conj(), jump) \
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     return (np.eye(dim * dim) + dt * dissipator) @ np.kron(u.conj(), u)
+
+
+def trotter_steps(rho, u, jumps, dt, n_steps):
+    """The reference first-order stepper: ``n_steps`` explicit updates, each a
+    unitary conjugation followed by the dissipator at first order in dt."""
+    udag = np.ascontiguousarray(u.conj().T)
+    jumps = np.asarray(jumps, dtype=complex).reshape(-1, *u.shape)
+    jumps_dag = np.ascontiguousarray(jumps.conj().transpose(0, 2, 1))
+    half_m = 0.5 * np.einsum("kij,kjl->il", jumps_dag, jumps)
+    for _ in range(n_steps):
+        rho = u @ rho @ udag
+        if jumps.shape[0]:
+            acc = np.zeros_like(rho)
+            for k in range(jumps.shape[0]):
+                acc += jumps[k] @ rho @ jumps_dag[k]
+            rho = rho + dt * (acc - (half_m @ rho + rho @ half_m))
+    return rho

@@ -131,6 +131,31 @@ class TestExitCodes:
         assert code == 2
         assert "sweep.axes" in err and "'t'" in err
 
+    @pytest.mark.parametrize("axis,name", [
+        ("name: phs\n      values: [true, false]", "phs"),
+        ("name: t\n      values: ['0.5']", "t"),
+        ("name: t\n      start: '1'\n      stop: 2.0\n      step: 0.5", "t"),
+    ], ids=["bool-values", "string-value", "string-start"])
+    def test_axis_value_follows_float_key_rule(self, capsys, tmp_path, axis, name):
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text(f"sweep:\n  axes:\n    - {axis}\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "sweep.axes" in err and f"'{name}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unknown_input_selector_exits_3(self, capsys, tmp_path, command):
+        cfg = tmp_path / "input.yaml"
+        cfg.write_text("sweep:\n  input: randm\n  axes:\n    - name: t\n"
+                       "      values: [0.0]\n")
+        extra = ["--workers", "1"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                                 "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "randm" in err and not out
+
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("physics: [unclosed\n")

@@ -4,13 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from csign import dynamics, fock, lindblad
+from csign import circuit, dynamics, fock, lindblad
 from csign.dynamics import PhysParams
 from csign.errors import DiagnosticError, PhysicsValidationError
 from csign.lindblad import LindbladChannel, StepperConfig
 
 from conftest import random_hermitian
-from oracles import damped_cavity_population, first_order_step_superop
+from oracles import damped_cavity_population, first_order_step_superop, trotter_steps
 
 
 def mode_space(dim):
@@ -120,6 +120,90 @@ class TestFirstOrderOracle:
         total = 3.0 * math.pi / (math.sqrt(2.0) * params.g)
         self.check(random_hermitian(rng, space.dim, trace_one=True), h, jumps,
                    total, 120)
+
+
+class TestReferenceStepper:
+    """``evolve``, a matrix power of each sector's block of the one-step map,
+    against the explicit step loop ``oracles.trotter_steps`` at the same dt.
+
+    Both take exp(-i dt H) exactly block-diagonal on H's invariant blocks.
+    In the lab frame the step phase is about 1e6 rad, and eigh of the full H
+    leaves up to 1e-10 outside those blocks, which would otherwise dominate
+    the comparison.
+    """
+
+    @staticmethod
+    def on_blocks(h, u):
+        # the states each state reaches through H, by transitive closure
+        reach = (h != 0) | np.eye(len(h), dtype=bool)
+        while True:
+            wider = reach.astype(int) @ reach.astype(int) > 0
+            if np.array_equal(wider, reach):
+                return np.where(reach, u, 0)
+            reach = wider
+
+    def check(self, rho0, h, jumps, total, n_steps):
+        dt = total / n_steps
+        u = self.on_blocks(h, lindblad.unitary_step_matrix(h, dt))
+        expected = trotter_steps(rho0, u, jumps, dt, n_steps)
+        out = lindblad.evolve(dm(mode_space(rho0.shape[0]), rho0), h,
+                              [LindbladChannel(j) for j in jumps], total,
+                              StepperConfig(dt_steps=n_steps)).rho.matrix
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lab-frame step phase
+    @pytest.mark.parametrize("frame", ["rotating", "lab"])
+    def test_leak_channels_on_full_space(self, space, frame):
+        rng = np.random.default_rng(["rotating", "lab"].index(frame) + 71)
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        for draw in range(4):
+            params = PhysParams(g=0.1, delta=rng.uniform(-0.6, 0.6))
+            h = dynamics.build_array_hamiltonian(space, params, frame=frame)
+            ly = 10.0 ** rng.uniform(-4.0, -1.0) * params.g
+            jumps = [c.matrix for c in lindblad.leak_channels(space, ly)]
+            if draw % 2:
+                rho0 = random_hermitian(rng, space.dim, trace_one=True)
+            else:  # a logical input after the first beamsplitter, as in the array
+                rho0 = bs @ circuit.random_valid_input(space, rng).matrix @ bs.conj().T
+            total = rng.uniform(0.5, 100.0) * math.pi / (math.sqrt(2.0) * params.g)
+            self.check(rho0, h, jumps, total, int(rng.integers(1, 2001)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_block_diagonal_generator_with_crossing_jumps(self, rng):
+        for _ in range(12):
+            sizes = rng.integers(1, 4, size=int(rng.integers(2, 5)))
+            dim = int(sizes.sum())
+            h = np.zeros((dim, dim), dtype=complex)
+            for end, size in zip(np.cumsum(sizes), sizes):
+                h[end - size:end, end - size:end] = random_hermitian(rng, size)
+            perm = rng.permutation(dim)  # blocks need not be contiguous
+            h = h[np.ix_(perm, perm)]
+            jumps = []
+            for _ in range(int(rng.integers(1, 3))):
+                jump = np.zeros((dim, dim), dtype=complex)
+                jump[rng.integers(0, dim, 2), rng.integers(0, dim, 2)] = 0.3
+                jumps.append(jump)
+            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
+            assert len(lindblad._sectors(h, half_m, np.stack(jumps))) > 1
+            self.check(random_hermitian(rng, dim, trace_one=True), h, jumps,
+                       rng.uniform(0.1, 5.0), int(rng.integers(1, 301)))
+
+    def test_untouched_sectors_stay_exactly_zero(self, rng):
+        # H has blocks {0..3} and {4, 5, 6} (shuffled) and the jump stays in
+        # the first, so an input on the first block never reaches the second
+        h = np.zeros((7, 7), dtype=complex)
+        h[:4, :4] = random_hermitian(rng, 4)
+        h[4:, 4:] = random_hermitian(rng, 3)
+        jump = np.zeros((7, 7), dtype=complex)
+        jump[:4, :4] = 0.3 * lowering(4)
+        rho0 = np.zeros((7, 7), dtype=complex)
+        rho0[:4, :4] = random_hermitian(rng, 4, trace_one=True)
+        perm = rng.permutation(7)
+        shuffle = np.ix_(perm, perm)
+        out = self.check(rho0[shuffle], h[shuffle], [jump[shuffle]], 3.0, 400)
+        second = np.argsort(perm)[4:]
+        assert np.all(out[second, :] == 0) and np.all(out[:, second] == 0)
 
 
 class TestEvolve:
