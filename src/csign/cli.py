@@ -26,7 +26,7 @@ from .lindblad import StepperConfig
 CONFIG_SCHEMA = {
     "physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
                 "g": float},
-    "stepper": {"dt_steps": int, "frame": str},
+    "stepper": {"dt_steps": int},
     "sweep": {"axes": list, "input": str, "seed": int},
     "calibrate": {"horizon_t": float, "ratios": list},
     "output": {"dir": str, "csv_name": str},
@@ -208,11 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"csign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_help):
+        # the flags every subcommand reads
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--t", type=float, help="gate duration in sqrt(2)g/pi units")
         p.add_argument("--delta-over-g", dest="delta_over_g", type=float,
                        help="detuning in units of the coupling")
+        p.add_argument("--out", help=out_help)
+
+    def run_flags(p):
+        # the flags of one gate-array run, read by simulate and sweep
+        p.add_argument("--t", type=float, help="gate duration in sqrt(2)g/pi units")
         p.add_argument("--ly-over-g", dest="ly_over_g", type=float,
                        help="photon-leak coefficient in units of the coupling")
         p.add_argument("--phs", type=int, choices=(0, 1),
@@ -222,25 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
                             "only when the leak is on (lossless runs are exact); "
                             "fixes the numbers but costs only about "
                             "log2(dt-steps) small matrix products")
-        p.add_argument("--frame", choices=("rotating", "lab"),
-                       help="stepping frame (lab resolves the optical frequency)")
         p.add_argument("--seed", type=int, help="seed for random valid inputs")
-        p.add_argument("--input", choices=("p_test", "random"),
+        p.add_argument("--input", choices=sweep.INPUT_SELECTORS,
                        help="input state selector (default p_test)")
-        p.add_argument("--out", help="output path (simulate/calibrate) or directory (sweep)")
 
     p_sim = sub.add_parser("simulate", help="run the array once, print a JSON report")
-    common(p_sim)
+    common(p_sim, "output path (default stdout)")
+    run_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV + manifest")
-    common(p_sweep)
+    common(p_sweep, "output directory (default output.dir, else sweep_out)")
+    run_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int,
                          help="parallel worker processes (default: all cores)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="emit calibration candidate tables")
-    common(p_cal)
+    common(p_cal, "output path (default stdout)")
     p_cal.add_argument("--horizon-t", dest="horizon_t", type=float,
                        help="largest duration (t units) to tabulate")
     p_cal.add_argument("--ratios", nargs="+",

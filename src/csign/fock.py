@@ -142,16 +142,11 @@ class PhotonSpace:
         return len(self.states)
 
     def index_of(self, occupations: tuple[int, int, int, int]) -> int:
-        return _photon_index_map(self)[occupations]
+        return _index_map(self)[occupations]
 
 
 @lru_cache(maxsize=None)
-def _index_map(space: StateSpace) -> dict:
-    return {s: i for i, s in enumerate(space.states)}
-
-
-@lru_cache(maxsize=None)
-def _photon_index_map(space: PhotonSpace) -> dict:
+def _index_map(space: StateSpace | PhotonSpace) -> dict:
     return {s: i for i, s in enumerate(space.states)}
 
 
@@ -400,13 +395,12 @@ def partial_trace_atoms(rho: DensityMatrix) -> DensityMatrix:
     space = rho.space
     target = photon_space(space)
     reduced = np.zeros((target.dim, target.dim), dtype=complex)
-    atom_configs = sorted({(s.a1, s.a2) for s in space.states})
-    for a1, a2 in atom_configs:
-        rows = [(i, target.index_of(s.occupations))
-                for i, s in enumerate(space.states) if (s.a1, s.a2) == (a1, a2)]
-        for i, pi in rows:
-            for j, pj in rows:
-                reduced[pi, pj] += rho.matrix[i, j]
+    atoms = [(s.a1, s.a2) for s in space.states]
+    for config in sorted(set(atoms)):
+        # within one atom configuration the photonic occupations are distinct
+        rows = [i for i, a in enumerate(atoms) if a == config]
+        cols = [target.index_of(space.states[i].occupations) for i in rows]
+        reduced[np.ix_(cols, cols)] += rho.matrix[np.ix_(rows, rows)]
     # no re-validation: the map is linear, so the output is exactly as valid
     # as its input (first-order stepping legitimately leaves O(dt) negativity)
     return DensityMatrix(target, reduced, check=False)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -63,18 +63,16 @@ def leak_channels(space: fock.StateSpace, ly: float) -> list[LindbladChannel]:
 class StepperConfig:
     """Step count and diagnostic policy of the trotterized evolution.
 
-    A run of duration T takes exactly ``dt_steps`` steps of dt = T / dt_steps.
+    A run of duration T takes exactly ``dt_steps`` steps of dt = T / dt_steps;
+    a final trace drift beyond ``trace_tol`` is a diagnostic error.
     """
 
     dt_steps: int = 20000
-    trace_tol: float = 1e-3
-    frame: str = "rotating"
+    trace_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if self.dt_steps < 1:
             raise PhysicsValidationError(f"dt_steps must be >= 1, got {self.dt_steps}")
-        if self.frame not in ("rotating", "lab"):
-            raise PhysicsValidationError(f"unknown frame {self.frame!r}")
 
 
 @dataclass
@@ -177,13 +175,13 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
     return out
 
 
-def _check_state(rho: np.ndarray, trace_tol: float, where: str):
+def _check_state(rho: np.ndarray, where: str):
     if not np.all(np.isfinite(rho)):
         raise DiagnosticError(f"non-finite density matrix entries {where}")
     drift = abs(rho.trace().real - 1.0)
-    if drift > trace_tol:
+    if drift > StepperConfig.trace_tol:
         raise DiagnosticError(
-            f"trace drift {drift:.3e} exceeds {trace_tol:.1e} {where}; "
+            f"trace drift {drift:.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
             "the step size is too large"
         )
     lo = float(np.linalg.eigvalsh(rho)[0])
@@ -204,8 +202,8 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     dt = T / dt_steps, evaluated as the ``dt_steps``-th power of the one-step
     map on each sector of vec(rho) that the input touches (about
     2 log2(dt_steps) small matrix products per sector).  The state is then
-    checked once: a trace drift beyond ``cfg.trace_tol``, a clearly negative
-    eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
+    checked once: a trace drift beyond ``StepperConfig.trace_tol``, a clearly
+    negative eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
     """
     if total_time < 0:
         raise PhysicsValidationError(f"total_time must be >= 0, got {total_time}")
@@ -230,7 +228,7 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     u = np.where(h_block[:, None] == h_block, unitary_step_matrix(h, dt), 0)
     mat = _power_by_sector(mat, u, jumps, half_m, dt, cfg.dt_steps,
                            _sectors(h, half_m, jumps))
-    drift, lo = _check_state(mat, cfg.trace_tol, f"after {cfg.dt_steps} steps")
+    drift, lo = _check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
     return EvolveResult(out, cfg.dt_steps, drift, lo)

@@ -31,6 +31,7 @@ AXIS_DOMAINS = {
     "ly_over_g": (0.0, 1.0),
     "phs": (0.0, 1.0),
 }
+INPUT_SELECTORS = ("p_test", "random")
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise PhysicsValidationError(f"duplicate sweep axes: {names}")
-        if self.input_state not in ("p_test", "random"):
+        if self.input_state not in INPUT_SELECTORS:
             raise PhysicsValidationError(
-                f"input selector must be p_test or random, got {self.input_state!r}")
+                f"input selector must be one of {INPUT_SELECTORS}, got {self.input_state!r}")
 
     def grid(self) -> list[dict]:
         """Grid points in row-major axis order; empty axes give no points."""
@@ -145,7 +146,8 @@ def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.Densit
         return circuit.p_test(space)
     if selector == "random":
         return circuit.random_valid_input(space, np.random.default_rng(seed))
-    raise PhysicsValidationError(f"input selector must be p_test or random, got {selector!r}")
+    raise PhysicsValidationError(
+        f"input selector must be one of {INPUT_SELECTORS}, got {selector!r}")
 
 
 def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord:
@@ -256,28 +258,26 @@ def _best_record(records: Sequence[SweepRecord]) -> SweepRecord:
 
 
 def find_detuned_optimum(t_values: Sequence[float], delta_values: Sequence[float],
-                         base: circuit.SimParams, rounds: int = 3,
-                         shrink: float = 10.0, workers: int = 1
+                         base: circuit.SimParams, rounds: int = 3
                          ) -> tuple[float, float, float]:
     """Best (t, delta_over_g, error) over a 2-D grid plus local refinement.
 
-    Coordinate descent around the coarse winner: each round shrinks both
-    resolutions by ``shrink`` and rescans a local window, one coordinate at
-    a time.  Degenerate axes (single value) are held fixed.
+    Coordinate descent around the coarse winner: each round refines both
+    resolutions tenfold and rescans a local window, one coordinate at a
+    time.  Degenerate axes (single value) are held fixed.
     """
     t_values = tuple(float(v) for v in t_values)
     delta_values = tuple(float(v) for v in delta_values)
     axes = [Axis("t", t_values), Axis("delta_over_g", delta_values)]
     spec = SweepSpec(axes=tuple(axes), base=base)
-    records = run_sweep(spec, workers=workers)
-    best = _best_record(records)
+    best = _best_record(run_sweep(spec))
     t_star, d_star, err_star = best.t, best.delta_over_g, best.error
 
     t_step = min(np.diff(sorted(set(t_values)))) if len(set(t_values)) > 1 else 0.0
     d_step = min(np.diff(sorted(set(delta_values)))) if len(set(delta_values)) > 1 else 0.0
     for _ in range(rounds):
-        t_step /= shrink
-        d_step /= shrink
+        t_step /= 10.0
+        d_step /= 10.0
         for coord, step in (("t", t_step), ("delta_over_g", d_step)):
             if step == 0.0:
                 continue
@@ -291,7 +291,7 @@ def find_detuned_optimum(t_values: Sequence[float], delta_values: Sequence[float
             local = SweepSpec(axes=(Axis("t", fixed["t"]),
                                     Axis("delta_over_g", fixed["delta_over_g"])),
                               base=base)
-            best = _best_record(run_sweep(local, workers=workers))
+            best = _best_record(run_sweep(local))
             if best.error < err_star:
                 t_star, d_star, err_star = best.t, best.delta_over_g, best.error
     return t_star, d_star, err_star
@@ -299,20 +299,18 @@ def find_detuned_optimum(t_values: Sequence[float], delta_values: Sequence[float
 
 def robustness_profile(t: float, delta_opt: float, base: circuit.SimParams,
                        delta_offsets: Sequence[float] = (),
-                       ly_values: Sequence[float] = (),
-                       workers: int = 1) -> list[SweepRecord]:
+                       ly_values: Sequence[float] = ()) -> list[SweepRecord]:
     """Error around one optimum: detuning offsets at fixed leak, then leak
     values at the optimal detuning.  Offsets are relative to the optimum."""
     records = []
     base_at = replace(base, t=t)
     if delta_offsets:
         axis = Axis("delta_over_g", tuple(delta_opt + off for off in delta_offsets))
-        records += run_sweep(SweepSpec(axes=(axis,), base=base_at), workers=workers)
+        records += run_sweep(SweepSpec(axes=(axis,), base=base_at))
     if ly_values:
         axis = Axis("ly_over_g", tuple(ly_values))
         records += run_sweep(
-            SweepSpec(axes=(axis,), base=replace(base_at, delta_over_g=delta_opt)),
-            workers=workers)
+            SweepSpec(axes=(axis,), base=replace(base_at, delta_over_g=delta_opt)))
     return records
 
 

@@ -226,16 +226,18 @@ class TestRunArray:
         assert report.error == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-9)
 
     def test_lab_frame_agrees_with_rotating(self, space, probe):
-        # zero leak makes the stepping exact in either frame
-        params_rot = SimParams(t=2.0, delta_over_g=1.1, stepper=FAST)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            params_lab = SimParams(t=2.0, delta_over_g=1.1,
-                                   stepper=StepperConfig(dt_steps=400, frame="lab"))
-            lab = circuit.run_array(probe, params_lab, space)
-        rot = circuit.run_array(probe, params_rot, space)
-        assert lab.error == pytest.approx(rot.error, abs=1e-8)
-        assert np.allclose(lab.rho_out.matrix, rot.rho_out.matrix, atol=1e-8)
+        # the cavity stage runs in the rotating frame; the lab frame, which
+        # resolves the optical frequency, must give the same state
+        b = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        stage_in = fock.DensityMatrix(space, b @ probe.matrix @ b.conj().T, check=False)
+        for ly_over_g in (0.0, 0.1):
+            params = SimParams(t=2.0, delta_over_g=1.1, ly_over_g=ly_over_g)
+            channels = lindblad.leak_channels(space, params.ly_over_g * params.g)
+            lab, rot = (lindblad.evolve(
+                stage_in, build_array_hamiltonian(space, params.phys, frame=frame),
+                channels, params.total_time, FAST).rho.matrix
+                for frame in ("lab", "rotating"))
+            assert np.max(np.abs(lab - rot)) <= 1e-8, ly_over_g
 
     def test_leak_degrades_gate(self, space, probe):
         clean = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)
@@ -305,18 +307,15 @@ class TestClosedFormTransit:
 
     @staticmethod
     def stepped_stage(rho, params):
-        frame = params.stepper.frame
-        h = build_array_hamiltonian(rho.space, params.phys, frame=frame)
+        h = build_array_hamiltonian(rho.space, params.phys, frame="rotating")
         return lindblad.evolve(rho, h, [], params.total_time,
-                               StepperConfig(dt_steps=2000, frame=frame)), "stepped"
+                               StepperConfig(dt_steps=2000)), "stepped"
 
     @staticmethod
     def draws():
         rng = np.random.default_rng(1506)
         cases = [SimParams(t=0.0, delta_over_g=0.0, phs=1),
-                 # the stepper's lab-frame round-off grows with the optical phase
-                 SimParams(t=1.0, delta_over_g=1.1, phs=0,
-                           stepper=StepperConfig(frame="lab"))]
+                 SimParams(t=1.0, delta_over_g=1.1, phs=0)]
         for _ in range(22):
             cases.append(SimParams(t=float(rng.uniform(0.0, 100.0)),
                                    delta_over_g=float(rng.uniform(-6.0, 6.0)),

@@ -2,6 +2,8 @@ import glob
 import json
 import math
 import os
+import re
+import shlex
 from dataclasses import fields
 
 import pytest
@@ -13,6 +15,9 @@ from csign.lindblad import StepperConfig
 from oracles import csign_zero_leak_error
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+RUN_FLAGS = {"--config", "--t", "--delta-over-g", "--ly-over-g", "--phs",
+             "--dt-steps", "--seed", "--input", "--out"}
 
 
 def run_cli(capsys, *argv):
@@ -21,20 +26,48 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def help_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
 class TestHelp:
+    # each subcommand takes exactly the flags it reads
     def test_help_lists_every_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        for flag in ("--t", "--delta-over-g", "--ly-over-g", "--phs",
-                     "--dt-steps", "--seed", "--out", "--config", "--input"):
-            assert flag in out
+        assert help_flags(capsys, "simulate") == RUN_FLAGS
+        assert help_flags(capsys, "calibrate") == {"--config", "--delta-over-g", "--out",
+                                                   "--horizon-t", "--ratios"}
 
     def test_sweep_help_has_workers(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["sweep", "--help"])
-        assert "--workers" in capsys.readouterr().out
+        assert help_flags(capsys, "sweep") == RUN_FLAGS | {"--workers"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--frame", "lab"], ["sweep", "--frame", "rotating"],
+        ["calibrate", "--t", "3"], ["calibrate", "--ly-over-g", "0.01"],
+        ["calibrate", "--phs", "0"], ["calibrate", "--dt-steps", "300"],
+        ["calibrate", "--seed", "5"], ["calibrate", "--input", "random"],
+    ], ids=" ".join)
+    def test_flag_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        # guards the README against flags the CLI no longer takes
+        with open(README) as handle:
+            blocks = re.findall(r"^```[a-z]*\n(.*?)^```", handle.read(), re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("csign ")]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
 
 class TestSimulate:
@@ -98,6 +131,7 @@ class TestExitCodes:
         pytest.param("stepper", "backend", "numba", id="backend-numba"),
         pytest.param("stepper", "renormalize", "1", id="renormalize-1"),
         pytest.param("stepper", "trace_tol", "0.001", id="trace_tol-0.001"),
+        pytest.param("stepper", "frame", "lab", id="frame-lab"),
         pytest.param("physics", "atom_decay_over_g", "0.1", id="atom_decay_over_g-0.1"),
     ])
     def test_removed_stepper_key_exits_2_and_names_key(self, capsys, tmp_path,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csign import dynamics, fock
+from csign import dynamics, fock, lindblad
 from csign.dynamics import PhysParams
 from csign.errors import PhysicsValidationError
 
@@ -190,6 +190,9 @@ class TestArrayHamiltonian:
             assert np.allclose(h, oracle, atol=1e-12)
 
     def test_commutes_with_total_excitation(self, space, rng):
+        # with H_lab - H_rot = omega_c N (next test) these make the rotating
+        # frame exact: N commutes with H and with each L^dag L, and each leak
+        # jump lowers N by one, so its frame phases cancel in L rho L^dag
         n_op = fock.total_excitation_matrix(space)
         for _ in range(50):
             p = params_for(g=rng.uniform(0.05, 2), delta=rng.uniform(-3, 3),
@@ -198,6 +201,13 @@ class TestArrayHamiltonian:
                 h = dynamics.build_array_hamiltonian(space, p, frame=frame)
                 comm = h @ n_op - n_op @ h
                 assert np.max(np.abs(comm)) <= 1e-12 * max(1.0, p.omega_c)
+        channels = lindblad.leak_channels(space, rng.uniform(0.01, 1.0))
+        assert len(channels) == 2
+        for channel in channels:
+            jump = channel.matrix
+            decay = jump.conj().T @ jump
+            assert np.max(np.abs(n_op @ decay - decay @ n_op)) <= 1e-12
+            assert np.max(np.abs(n_op @ jump - jump @ n_op + jump)) <= 1e-12
 
     def test_rotating_frame_subtracts_excitation_term(self, space):
         p = params_for(g=0.4, delta=0.9, omega_c=25.0)

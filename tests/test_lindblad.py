@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from csign.errors import DiagnosticError, PhysicsValidationError
 from csign.lindblad import LindbladChannel, StepperConfig
 
 from conftest import random_hermitian
-from oracles import damped_cavity_population, first_order_step_superop, trotter_steps
+from oracles import (damped_cavity_population, exact_master_equation,
+                     first_order_step_superop, trotter_steps)
 
 
 def mode_space(dim):
@@ -306,6 +308,48 @@ class TestEvolve:
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PhysicsValidationError):
             lindblad.evolve(dm(space, rho0), np.zeros((2, 2)), [], -1.0)
+
+
+class TestExactMasterEquation:
+    """How far the first-order leaky numbers sit from the exact master
+    equation, through ``oracles.exact_master_equation`` (a dense Liouvillian
+    exponential), itself checked against two closed forms first."""
+
+    def test_oracle_matches_damped_cavity(self):
+        dim, ly, total = 3, 0.3, 12.0
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[1, 1] = 1.0
+        out = exact_master_equation(rho0, np.zeros((dim, dim)), [ly * lowering(dim)], total)
+        assert out[1, 1].real == pytest.approx(damped_cavity_population(total, ly), abs=1e-12)
+        assert out.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_oracle_matches_lossless_conjugation(self, rng):
+        for _ in range(6):
+            dim = int(rng.integers(3, 9))
+            rho0 = random_hermitian(rng, dim, trace_one=True)
+            h = random_hermitian(rng, dim)
+            total = rng.uniform(0.1, 20.0)
+            u = lindblad.unitary_step_matrix(h, total)
+            out = exact_master_equation(rho0, h, [], total)
+            assert np.max(np.abs(out - u @ rho0 @ u.conj().T)) <= 1e-12
+
+    def test_cavity_stage_gap_is_first_order(self, space, probe):
+        # the gap halves per doubling of dt_steps, and dt_steps = 20000 (the
+        # default) puts it below 1e-7
+        params = circuit.SimParams(t=3.0, ly_over_g=0.1)
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        stage_in = dm(space, bs @ probe.matrix @ bs.conj().T)
+        h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
+        jumps = [c.matrix for c in lindblad.leak_channels(space, params.ly_over_g * params.g)]
+        exact = exact_master_equation(stage_in.matrix, h, jumps, params.total_time)
+        gaps = []
+        for n_steps in (500, 1000, 2000, 20000):
+            stepped, path = circuit.cavity_stage(
+                stage_in, replace(params, stepper=StepperConfig(dt_steps=n_steps)))
+            assert path == "stepped"
+            gaps.append(circuit.error_rate(exact, stepped.rho))
+        assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps[:2], gaps[1:3])), gaps
+        assert gaps[3] <= 1e-7, gaps
 
 
 class TestChannels:
