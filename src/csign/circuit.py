@@ -29,7 +29,7 @@ import numpy as np
 from . import fock
 from .dynamics import PhysParams, build_array_hamiltonian, jc_return_amplitude
 from .errors import PhysicsValidationError
-from .lindblad import (EvolveResult, StepperConfig, _check_state, evolve,
+from .lindblad import (EvolveResult, StepperConfig, check_state, evolve,
                        leak_channels, unitary_step_matrix)
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
@@ -112,6 +112,27 @@ class GateReport:
         }, indent=indent)
 
 
+def beamsplitter_amplitude(n: int, m: int, j: int) -> float:
+    """Amplitude <j, n+m-j | B | n, m> of the balanced beamsplitter.
+
+    B maps a1+ -> (a1+ + a2+)/sqrt(2) and a2+ -> (a1+ - a2+)/sqrt(2); the
+    amplitude follows from binomial expansion of the transformed creation
+    monomial.  The integer sign sum makes structural zeros (photon bunching
+    on the |1,1> input) exact rather than a float cancellation.
+    """
+    k = n + m - j
+    if j < 0 or k < 0:
+        return 0.0
+    sign_sum = 0
+    for p in range(max(0, j - m), min(n, j) + 1):
+        sign_sum += (-1) ** (m - j + p) * math.comb(n, p) * math.comb(m, j - p)
+    if sign_sum == 0:
+        return 0.0
+    norm = math.sqrt(math.factorial(j) * math.factorial(k) /
+                     (math.factorial(n) * math.factorial(m)))
+    return sign_sum * norm / math.sqrt(2.0) ** (n + m)
+
+
 @lru_cache(maxsize=None)
 def beamsplitter_unitary(pair: tuple[str, str], space: fock.StateSpace) -> np.ndarray:
     """Balanced beamsplitter on a rail pair, identity on everything else.
@@ -126,7 +147,7 @@ def beamsplitter_unitary(pair: tuple[str, str], space: fock.StateSpace) -> np.nd
     for col, s in enumerate(space.states):
         n, m = s.rail_occupation(r1), s.rail_occupation(r2)
         for j in range(n + m + 1):
-            amp = fock.beamsplitter_amplitude(n, m, j)
+            amp = beamsplitter_amplitude(n, m, j)
             if amp == 0.0:
                 continue
             target = s.replace_rails(**{r1: j, r2: n + m - j})
@@ -255,7 +276,7 @@ def cavity_stage(rho: fock.DensityMatrix, params: SimParams) -> tuple[EvolveResu
         return evolve(rho, h, channels, params.total_time, params.stepper), "stepped"
     u = unitary_step_matrix(h, params.total_time)
     mat = u @ rho.matrix @ u.conj().T
-    drift, lo = _check_state(mat, "after the closed-form transit")
+    drift, lo = check_state(mat, "after the closed-form transit")
     return EvolveResult(fock.DensityMatrix(space, mat, check=False), 0, drift, lo), \
         "closed_form"
 

@@ -32,6 +32,9 @@ CONFIG_SCHEMA = {
     "output": {"dir": str, "csv_name": str},
 }
 
+#: the config keys ``calibrate`` reads; it rejects every other key
+CALIBRATE_KEYS = {"physics": ("g", "delta_over_g"), "calibrate": ("horizon_t", "ratios")}
+
 
 def _float(value, where: str) -> float:
     # a YAML int or float; exact types, since a YAML bool is an int subclass
@@ -102,13 +105,16 @@ def cmd_simulate(args) -> int:
     run = _settings(args, config, "sweep")
     state = sweep.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
     report = circuit.run_array(state, params, space)
-    text = report.to_json(indent=2)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _write_output(args.out, report.to_json(indent=2) + "\n")
     return 0
+
+
+def _write_output(out: str | None, text: str):
+    """``text`` to the file ``out`` atomically, or to stdout if ``out`` is unset or "-"."""
+    if out and out != "-":
+        sweep._atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
@@ -173,6 +179,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
+    unread = [f"{section}.{key}" for section, keys in config.items() for key in keys
+              if key not in CALIBRATE_KEYS.get(section, ())]
+    if unread:
+        raise ConfigError(f"calibrate does not read config keys {', '.join(unread)}")
     params = _sim_params(args, config)
     section = _settings(args, config, "calibrate")
     ratios = section.get("ratios")
@@ -193,11 +203,7 @@ def cmd_calibrate(args) -> int:
                                              section.get("horizon_t", 0.0) * unit):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
-    text = "\n".join(lines) + "\n"
-    if args.out and args.out != "-":
-        sweep._atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -160,7 +160,7 @@ def build_jc_hamiltonian(params: PhysParams, frame: str = "interaction") -> np.n
 @lru_cache(maxsize=512)
 def build_array_hamiltonian(space: fock.StateSpace, params: PhysParams,
                             frame: str = "lab") -> np.ndarray:
-    """Hermitian Hamiltonian of the whole array over the reachable basis.
+    """Hermitian Hamiltonian of the whole array over the basis ``space``.
 
     Photon number terms on all four rails, excited-level projectors on both
     atoms, and the exchange couplings atom1 <-> x1 and atom2 <-> y1.  The
@@ -171,8 +171,9 @@ def build_array_hamiltonian(space: fock.StateSpace, params: PhysParams,
     projectors.  Stepping in that frame avoids resolving the optical
     frequency, about five orders of magnitude above the coupling.
     """
-    number_sum = sum(fock.number_matrix(rail, space) for rail in fock.RAILS)
-    projector_sum = sum(fock.atom_projector_matrix(atom, space) for atom in fock.ATOMS)
+    # photon count and excited-atom count of each basis state, as diagonals
+    photons = np.diag([complex(s.photons) for s in space.states])
+    excited = np.diag([complex(s.a1 + s.a2) for s in space.states])
     coupling = np.zeros((space.dim, space.dim), dtype=complex)
     for rail, atom in (("x1", "a1"), ("y1", "a2")):
         a = fock.annihilation_matrix(rail, space)
@@ -180,12 +181,10 @@ def build_array_hamiltonian(space: fock.StateSpace, params: PhysParams,
         term = sig_plus @ a
         coupling += term + term.conj().T
     if frame == "lab":
-        h = params.omega_c * number_sum + params.omega_a * projector_sum \
-            + params.g * coupling
+        h = params.omega_c * photons + params.omega_a * excited + params.g * coupling
     elif frame == "rotating":
-        h = params.delta * projector_sum + params.g * coupling
+        h = params.delta * excited + params.g * coupling
     else:
         raise PhysicsValidationError(f"unknown frame {frame!r}")
-    h = np.asarray(h)
     h.flags.writeable = False
     return h

@@ -1,11 +1,11 @@
-"""Reachable Fock basis of the four-rail, two-atom gate array.
+"""Fock basis of the four-rail, two-atom gate array.
 
 The array carries two dual-rail photonic qubits on rails ``x1, x2, y1, y2``
 plus one two-level atom per optical cavity (atom 1 in the ``x1`` cavity,
 atom 2 in the ``y1`` cavity).  At most two excitations are ever present, so
-the physically reachable state space is small; this module enumerates it by
-explicit closure of the valid computational inputs under the gates of the
-pipeline and provides the ladder operators as dense matrices over that basis.
+the state space is small: this module enumerates every configuration the
+model's constraints allow (23 of them) and provides the ladder operators as
+dense matrices over that basis.
 
 Basis ordering is lexicographic on ``(n_x1, n_x2, n_y1, n_y2, a1, a2)`` so
 that serialized matrices are reproducible run to run.
@@ -13,6 +13,7 @@ that serialized matrices are reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -60,8 +61,10 @@ class BasisState:
         if self.total_excitation > MAX_TOTAL_EXCITATION:
             raise PhysicsValidationError(f"more than {MAX_TOTAL_EXCITATION} excitations: {self}")
         if self.a1 == E and self.a2 == E:
-            # Per-cavity excitation never exceeds one for valid pipeline inputs,
-            # so both atoms excited at once is unreachable.
+            # The input splitter bunches the |1,1> rail pair, so no branch holds
+            # an excitation in both cavities; the exchange conserves each
+            # cavity's excitation and the leak only lowers it, so both atoms
+            # are never excited at once.
             raise PhysicsValidationError(f"both atoms excited: {self}")
 
     @property
@@ -110,7 +113,7 @@ class BasisState:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered reachable basis with a bidirectional index map."""
+    """Ordered basis with a bidirectional index map."""
 
     states: tuple[BasisState, ...]
 
@@ -196,67 +199,6 @@ class DensityMatrix:
         return float(self.matrix.trace().real)
 
 
-# ---------------------------------------------------------------------------
-# Beamsplitter combinatorics (used here only for reachability; the dense
-# unitary lives in the circuit module).
-# ---------------------------------------------------------------------------
-
-def beamsplitter_amplitude(n: int, m: int, j: int) -> float:
-    """Amplitude <j, n+m-j | B | n, m> of the balanced beamsplitter.
-
-    B maps a1+ -> (a1+ + a2+)/sqrt(2) and a2+ -> (a1+ - a2+)/sqrt(2); the
-    amplitude follows from binomial expansion of the transformed creation
-    monomial.  The integer sign sum makes structural zeros (photon bunching
-    on the |1,1> input) exact rather than a float cancellation.
-    """
-    k = n + m - j
-    if j < 0 or k < 0:
-        return 0.0
-    sign_sum = 0
-    for p in range(max(0, j - m), min(n, j) + 1):
-        sign_sum += (-1) ** (m - j + p) * math.comb(n, p) * math.comb(m, j - p)
-    if sign_sum == 0:
-        return 0.0
-    norm = math.sqrt(math.factorial(j) * math.factorial(k) /
-                     (math.factorial(n) * math.factorial(m)))
-    return sign_sum * norm / math.sqrt(2.0) ** (n + m)
-
-
-def _bs_images(state: BasisState) -> list[BasisState]:
-    """Nonzero-amplitude images of the (x1, y1) beamsplitter."""
-    n, m = state.n_x1, state.n_y1
-    out = []
-    for j in range(n + m + 1):
-        if beamsplitter_amplitude(n, m, j) != 0.0:
-            out.append(state.replace_rails(x1=j, y1=n + m - j))
-    return out
-
-
-def _jc_images(state: BasisState) -> list[BasisState]:
-    """States coupled by the atom-field exchange in either cavity."""
-    out = []
-    for rail, atom in (("x1", "a1"), ("y1", "a2")):
-        n = state.rail_occupation(rail)
-        a = state.atom_level(atom)
-        if n > 0 and a == G:
-            out.append(state.replace_rail(rail, n - 1).replace_atom(atom, E))
-        if a == E:
-            # lower the atom before raising the rail so the intermediate
-            # object never exceeds the excitation cap
-            out.append(state.replace_atom(atom, G).replace_rail(rail, n + 1))
-    return out
-
-
-def _leak_images(state: BasisState) -> list[BasisState]:
-    """States reached when a cavity rail loses one photon."""
-    out = []
-    for rail in ("x1", "y1"):
-        n = state.rail_occupation(rail)
-        if n > 0:
-            out.append(state.replace_rail(rail, n - 1))
-    return out
-
-
 def computational_seed(qx: int, qy: int) -> BasisState:
     """Dual-rail encoding: logical 1 puts the photon on rail 1 of the pair."""
     if qx not in (0, 1) or qy not in (0, 1):
@@ -267,43 +209,26 @@ def computational_seed(qx: int, qy: int) -> BasisState:
 SEEDS = tuple(computational_seed(qx, qy) for qx, qy in ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-def _closure(frontier: set[BasisState], image_fns) -> set[BasisState]:
-    reached = set(frontier)
-    queue = list(frontier)
-    while queue:
-        state = queue.pop()
-        for fn in image_fns:
-            for nxt in fn(state):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    queue.append(nxt)
-    return reached
-
-
 def enumerate_states() -> StateSpace:
-    """Enumerate the basis reachable from the four computational inputs.
+    """Every configuration :class:`BasisState` admits, in lexicographic order.
 
-    The closure follows the pipeline stages: the beamsplitter acts before and
-    after the cavity stage, while the atom-field exchange and the photon-leak
-    jumps act only in between.  Staging matters: the exchange conserves the
-    per-cavity excitation, and since the input-side beamsplitter never leaves
-    a photon in both cavity rails at once (exact bunching on the |1,1| rail
-    pair), no branch ever excites both atoms.  An order-free closure would
-    spuriously include that doubly-excited configuration.
-
-    The computed dimension (23) is logged.
+    Cavity rails hold up to ``MAX_TOTAL_EXCITATION`` photons and idle rails
+    at most one; the excitation cap and the never-both-excited rule filter
+    the product.  The dimension (23) is logged.
     """
-    post_bs1 = {img for s in SEEDS for img in _bs_images(s)}
-    cavity_stage = _closure(post_bs1, (_jc_images, _leak_images))
-    post_bs2 = {img for s in cavity_stage for img in _bs_images(s)}
-    space = StateSpace(tuple(sorted(set(SEEDS) | post_bs1 | cavity_stage | post_bs2)))
+    cavity = range(MAX_TOTAL_EXCITATION + 1)
+    states = tuple(
+        BasisState(*config)
+        for config in itertools.product(cavity, (0, 1), cavity, (0, 1), (G, E), (G, E))
+        if sum(config) <= MAX_TOTAL_EXCITATION and config[4:] != (E, E))
+    space = StateSpace(states)
     logger.info("enumerated state space: dimension %d", space.dim)
     return space
 
 
 @lru_cache(maxsize=None)
 def default_state_space() -> StateSpace:
-    """The full-generator reachable basis, shared by the circuit pipeline."""
+    """The basis of :func:`enumerate_states`, shared by the circuit pipeline."""
     return enumerate_states()
 
 
@@ -350,24 +275,6 @@ def atom_raising_matrix(atom: str, space: StateSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def number_matrix(rail: str, space: StateSpace) -> np.ndarray:
-    """Diagonal photon-number operator of one rail."""
-    if rail not in RAILS:
-        raise PhysicsValidationError(f"unknown rail {rail!r}")
-    diag = [s.rail_occupation(rail) for s in space.states]
-    return _frozen(np.diag(np.asarray(diag, dtype=complex)))
-
-
-@lru_cache(maxsize=None)
-def atom_projector_matrix(atom: str, space: StateSpace) -> np.ndarray:
-    """Diagonal projector onto the excited level of one atom."""
-    if atom not in ATOMS:
-        raise PhysicsValidationError(f"unknown atom {atom!r}")
-    diag = [float(s.atom_level(atom) == E) for s in space.states]
-    return _frozen(np.diag(np.asarray(diag, dtype=complex)))
-
-
-@lru_cache(maxsize=None)
 def total_excitation_matrix(space: StateSpace) -> np.ndarray:
     """Diagonal total-excitation operator (photons plus excited atoms)."""
     diag = [s.total_excitation for s in space.states]
@@ -375,9 +282,8 @@ def total_excitation_matrix(space: StateSpace) -> np.ndarray:
 
 
 def computational_indices(space: StateSpace) -> tuple[int, int, int, int]:
-    """Indices of the logical basis in the fixed order |00>, |01>, |10>, |11>."""
-    return tuple(space.index_of(computational_seed(qx, qy))
-                 for qx, qy in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    """Indices of the logical basis in the order of ``SEEDS``: |00>, |01>, |10>, |11>."""
+    return tuple(space.index_of(seed) for seed in SEEDS)
 
 
 @lru_cache(maxsize=None)

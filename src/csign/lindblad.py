@@ -175,7 +175,8 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
     return out
 
 
-def _check_state(rho: np.ndarray, where: str):
+def check_state(rho: np.ndarray, where: str):
+    """Trace drift and lowest eigenvalue of ``rho``; DiagnosticError past the limits."""
     if not np.all(np.isfinite(rho)):
         raise DiagnosticError(f"non-finite density matrix entries {where}")
     drift = abs(rho.trace().real - 1.0)
@@ -228,7 +229,7 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     u = np.where(h_block[:, None] == h_block, unitary_step_matrix(h, dt), 0)
     mat = _power_by_sector(mat, u, jumps, half_m, dt, cfg.dt_steps,
                            _sectors(h, half_m, jumps))
-    drift, lo = _check_state(mat, f"after {cfg.dt_steps} steps")
+    drift, lo = check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
     return EvolveResult(out, cfg.dt_steps, drift, lo)

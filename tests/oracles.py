@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from first principles with different
-machinery than the code under test: direct enumeration instead of graph
-closure, ladder-matrix algebra instead of binomial expansion, closed-form
-solutions instead of steppers.
+machinery than the code under test: the basis filtered from raw integer
+tuples and the cavity-stage states from conserved per-cavity excitations
+(which the tests match against closures over the package's own splitter,
+Hamiltonian and leak matrices), ladder-matrix algebra instead of binomial
+expansion, closed-form solutions instead of steppers.
 """
 
 import itertools

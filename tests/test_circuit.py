@@ -272,7 +272,7 @@ class TestRunArray:
         for col, occ in enumerate(pspace.states):
             n, m = occ[0], occ[2]
             for j in range(n + m + 1):
-                amp = fock.beamsplitter_amplitude(n, m, j)
+                amp = circuit.beamsplitter_amplitude(n, m, j)
                 if amp:
                     bp[pspace.index_of((j, occ[1], n + m - j, occ[3])), col] = amp
         alt = bp @ reduced_first.matrix @ bp.conj().T

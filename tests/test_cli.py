@@ -111,6 +111,17 @@ class TestSimulate:
         assert out == ""
         assert json.loads(target.read_text())["params"]["t"] == 1.0
 
+    @pytest.mark.parametrize("command", [["simulate", "--t", "1"],
+                                         ["calibrate", "--horizon-t", "10"]],
+                             ids=lambda argv: argv[0])
+    def test_out_creates_missing_directory(self, capsys, tmp_path, command):
+        # both subcommands write through the same atomic writer
+        target = tmp_path / "new" / "dir" / "out.txt"
+        code, out, _ = run_cli(capsys, *command, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text().endswith("\n")
+        assert os.listdir(target.parent) == ["out.txt"]  # no temporary file left
+
     def test_random_input_seeded(self, capsys):
         _, out1, _ = run_cli(capsys, "simulate", "--t", "2", "--dt-steps", "200",
                              "--input", "random", "--seed", "5")
@@ -364,6 +375,26 @@ class TestCalibrateCommand:
                              "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("t,delta_over_g,residual")
+
+    def test_config_key_not_read_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("physics:\n  t: 5.0\n  ly_over_g: 0.5\n  phs: 0\n"
+                       "stepper:\n  dt_steps: 3\nsweep:\n  input: random\n  seed: 9\n"
+                       "output:\n  dir: elsewhere\n")
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(cfg),
+                                 "--horizon-t", "100.5")
+        assert (code, out) == (2, "")
+        for key in ("physics.t", "physics.ly_over_g", "physics.phs", "stepper.dt_steps",
+                    "sweep.input", "sweep.seed", "output.dir"):
+            assert key in err
+
+    def test_config_keys_read(self, capsys, tmp_path):
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text("physics:\n  g: 0.1\n  delta_over_g: 0.0\n"
+                       "calibrate:\n  horizon_t: 100.5\n")
+        code, out, _ = run_cli(capsys, "calibrate", "--config", str(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, "calibrate", "--horizon-t", "100.5")[1]
 
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ratios", "one-half")

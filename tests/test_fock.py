@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from csign import fock
+from csign import circuit, fock
+from csign.dynamics import PhysParams, build_array_hamiltonian
 from csign.errors import PhysicsValidationError
+from csign.lindblad import leak_channels
 
 from conftest import random_hermitian
 from oracles import (cavity_stage_reachable_oracle, enumerate_reachable_oracle,
@@ -34,7 +36,7 @@ class TestBasisState:
 
 class TestEnumeration:
     def test_full_closure_dimension_is_23(self, space):
-        # independent oracle: direct filtered enumeration of all tuples
+        # the oracle filters raw integer tuples by the model's rules, not BasisState
         expected = enumerate_reachable_oracle()
         got = {s.as_tuple() for s in space.states}
         assert got == expected
@@ -47,19 +49,60 @@ class TestEnumeration:
     def test_states_sorted_lexicographically(self, space):
         assert list(space.states) == sorted(space.states)
 
-    def test_bs_and_leak_closed_on_whole_space(self, space):
-        for s in space.states:
-            for img in fock._bs_images(s) + fock._leak_images(s):
-                assert img in space
 
-    def test_jc_closed_on_cavity_stage(self, space):
-        # the exchange only ever acts on amplitudes reachable while the
-        # cavities are active; on that subset its images stay inside
+def _pipeline_matrices(space):
+    # the splitter, the cavity stage's H and its leak jumps, as the pipeline builds them
+    params = PhysParams(g=0.1, delta=0.48)
+    h = build_array_hamiltonian(space, params, frame="rotating")
+    jumps = [c.matrix for c in leak_channels(space, 0.01 * params.g)]
+    return params, circuit.beamsplitter_unitary(("x1", "y1"), space), h, jumps
+
+
+def _reach(start, links):
+    """Indices reached from the boolean vector ``start`` along ``links[to, from]``."""
+    reached = start
+    while True:
+        grown = reached | (links @ reached)
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
+class TestReachability:
+    """The pipeline, run on its real matrices, reaches every basis state and
+    never needs one outside the basis.
+
+    A splitter image outside the basis makes ``beamsplitter_unitary`` raise
+    (and criterion 6 checks its unitarity); a leak image outside it shows in
+    ``test_number_operator_identity``.
+    """
+
+    def test_seeds_close_onto_the_basis(self, space):
+        _, bs, h, jumps = _pipeline_matrices(space)
+        seeds = np.zeros(space.dim, dtype=bool)
+        seeds[list(fock.computational_indices(space))] = True
+        splitter = bs != 0
+        post_bs1 = splitter @ seeds
+        stage = _reach(post_bs1, (h != 0) | np.any(np.array(jumps) != 0, axis=0))
+        post_bs2 = splitter @ stage
+        assert (seeds | stage | post_bs2).all()
+        assert {space.states[i].as_tuple() for i in np.flatnonzero(stage)} == \
+            cavity_stage_reachable_oracle()
+
+    def test_exchange_is_untruncated_on_cavity_stage(self, space):
+        # each cavity couples |g,n> to |e,n-1> with g sqrt(n) and |e,n> to
+        # |g,n+1> with g sqrt(n+1); a coupling cut by the basis (the
+        # both-excited states) would leave a column short
+        params, _, h, _ = _pipeline_matrices(space)
+        exchange = h - np.diag(np.diag(h))
         stage = cavity_stage_reachable_oracle()
-        for s in space.states:
-            if s.as_tuple() in stage:
-                for img in fock._jc_images(s):
-                    assert img in space
+        for i, s in enumerate(space.states):
+            if s.as_tuple() not in stage:
+                continue
+            expected = sum(n if a == fock.G else n + 1
+                           for n, a in ((s.n_x1, s.a1), (s.n_y1, s.a2)))
+            assert np.sum(np.abs(exchange[:, i]) ** 2) == \
+                pytest.approx(params.g ** 2 * expected, rel=1e-12)
 
 
 class TestLadderOperators:
@@ -205,6 +248,6 @@ class TestPartialTrace:
 
 
 def test_beamsplitter_amplitude_structural_zero():
-    assert fock.beamsplitter_amplitude(1, 1, 1) == 0.0
-    assert fock.beamsplitter_amplitude(1, 1, 2) == pytest.approx(1 / np.sqrt(2))
-    assert fock.beamsplitter_amplitude(1, 1, 0) == pytest.approx(-1 / np.sqrt(2))
+    assert circuit.beamsplitter_amplitude(1, 1, 1) == 0.0
+    assert circuit.beamsplitter_amplitude(1, 1, 2) == pytest.approx(1 / np.sqrt(2))
+    assert circuit.beamsplitter_amplitude(1, 1, 0) == pytest.approx(-1 / np.sqrt(2))
