@@ -155,18 +155,26 @@ def beamsplitter_unitary(pair: tuple[str, str], space: fock.StateSpace) -> np.nd
                 raise PhysicsValidationError(
                     f"beamsplitter image {target} escapes the state space")
             mat[space.index_of(target), col] = amp
-    mat.flags.writeable = False
-    return mat
+    return fock.frozen(mat)
+
+
+@lru_cache(maxsize=None)
+def _rail_occupations(rail: str, space: fock.StateSpace) -> np.ndarray:
+    """Photon count of one rail in each basis state."""
+    if rail not in fock.RAILS:
+        raise PhysicsValidationError(f"unknown rail {rail!r}")
+    return fock.frozen(np.array([s.rail_occupation(rail) for s in space.states]))
+
+
+@lru_cache(maxsize=None)
+def _excited(space: fock.StateSpace) -> np.ndarray:
+    """Mask of the basis states with an excited atom."""
+    return fock.frozen(np.array([s.a1 == fock.E or s.a2 == fock.E for s in space.states]))
 
 
 def phase_shifter_unitary(rail: str, phi: float, space: fock.StateSpace) -> np.ndarray:
     """Diagonal phase e^{i n phi} on one rail's occupation."""
-    if rail not in fock.RAILS:
-        raise PhysicsValidationError(f"unknown rail {rail!r}")
-    diag = np.array([np.exp(1j * phi * s.rail_occupation(rail)) for s in space.states])
-    mat = np.diag(diag)
-    mat.flags.writeable = False
-    return mat
+    return fock.frozen(np.diag(np.exp(1j * phi * _rail_occupations(rail, space))))
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +184,7 @@ def ideal_ns_map(rail: str, space: fock.StateSpace) -> np.ndarray:
         raise PhysicsValidationError(f"unknown rail {rail!r}")
     diag = np.array([(-1.0 + 0j) ** (s.rail_occupation(rail) == 2)
                      for s in space.states])
-    mat = np.diag(diag)
-    mat.flags.writeable = False
-    return mat
+    return fock.frozen(np.diag(diag))
 
 
 CZ_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
@@ -192,6 +198,7 @@ def ideal_csign(rho_in: np.ndarray) -> np.ndarray:
     return (CZ_DIAG[:, None] * rho_in) * CZ_DIAG[None, :]
 
 
+@lru_cache(maxsize=None)
 def p_test(space: fock.StateSpace) -> fock.DensityMatrix:
     """Uniform-superposition probe: the rank-1 projector with all logical
     matrix entries 1/4, so every interference path of the array is active."""
@@ -319,8 +326,7 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
     mat = bs @ mat @ bs.conj().T
 
     error = error_rate(ideal_full, mat)
-    excited = np.array([s.a1 == fock.E or s.a2 == fock.E for s in space.states])
-    atom_residual = float(np.real(np.diag(mat)[excited].sum()))
+    atom_residual = float(np.real(np.diag(mat)[_excited(space)].sum()))
     rho_full = fock.DensityMatrix(space, 0.5 * (mat + mat.conj().T), check=False)
     rho_out = fock.partial_trace_atoms(rho_full)
     wall_ms = (time.perf_counter() - started) * 1e3

@@ -186,5 +186,4 @@ def build_array_hamiltonian(space: fock.StateSpace, params: PhysParams,
         h = params.delta * excited + params.g * coupling
     else:
         raise PhysicsValidationError(f"unknown frame {frame!r}")
-    h.flags.writeable = False
-    return h
+    return fock.frozen(h)

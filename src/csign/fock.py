@@ -112,45 +112,47 @@ class BasisState:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Ordered basis with a bidirectional index map."""
+class _Space:
+    """An ordered basis with its index map, hashed once: the per-space caches
+    below key on it.
 
-    states: tuple[BasisState, ...]
+    Equality still compares the states, so two separately built spaces with
+    the same basis are equal and share cache entries.
+    """
+
+    states: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.states))
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def dim(self) -> int:
+        return len(self.states)
+
+    def index_of(self, state) -> int:
+        return self._index[state]
+
+
+class StateSpace(_Space):
+    """Ordered basis of :class:`BasisState`."""
 
     def __post_init__(self):
         if list(self.states) != sorted(self.states):
             raise PhysicsValidationError("StateSpace states must be lexicographically sorted")
         if len(set(self.states)) != len(self.states):
             raise PhysicsValidationError("StateSpace states must be unique")
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def index_of(self, state: BasisState) -> int:
-        return _index_map(self)[state]
+        super().__post_init__()
 
     def __contains__(self, state: BasisState) -> bool:
-        return state in _index_map(self)
+        return state in self._index
 
 
-@dataclass(frozen=True)
-class PhotonSpace:
+class PhotonSpace(_Space):
     """Photonic occupations only, the target basis of the atom partial trace."""
-
-    states: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def index_of(self, occupations: tuple[int, int, int, int]) -> int:
-        return _index_map(self)[occupations]
-
-
-@lru_cache(maxsize=None)
-def _index_map(space: StateSpace | PhotonSpace) -> dict:
-    return {s: i for i, s in enumerate(space.states)}
 
 
 class PureState:
@@ -236,7 +238,8 @@ def default_state_space() -> StateSpace:
 # Operators
 # ---------------------------------------------------------------------------
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
+def frozen(mat: np.ndarray) -> np.ndarray:
+    """Mark an array read-only (for arrays that caches hand out) and return it."""
     mat.flags.writeable = False
     return mat
 
@@ -250,10 +253,8 @@ def annihilation_matrix(rail: str, space: StateSpace) -> np.ndarray:
     for i, s in enumerate(space.states):
         n = s.rail_occupation(rail)
         if n > 0:
-            target = s.replace_rail(rail, n - 1)
-            if target in space:
-                mat[space.index_of(target), i] = math.sqrt(n)
-    return _frozen(mat)
+            mat[space.index_of(s.replace_rail(rail, n - 1)), i] = math.sqrt(n)
+    return frozen(mat)
 
 
 @lru_cache(maxsize=None)
@@ -264,23 +265,22 @@ def atom_lowering_matrix(atom: str, space: StateSpace) -> np.ndarray:
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for i, s in enumerate(space.states):
         if s.atom_level(atom) == E:
-            target = s.replace_atom(atom, G)
-            if target in space:
-                mat[space.index_of(target), i] = 1.0
-    return _frozen(mat)
+            mat[space.index_of(s.replace_atom(atom, G)), i] = 1.0
+    return frozen(mat)
 
 
 def atom_raising_matrix(atom: str, space: StateSpace) -> np.ndarray:
-    return _frozen(atom_lowering_matrix(atom, space).conj().T)
+    return frozen(atom_lowering_matrix(atom, space).conj().T)
 
 
 @lru_cache(maxsize=None)
 def total_excitation_matrix(space: StateSpace) -> np.ndarray:
     """Diagonal total-excitation operator (photons plus excited atoms)."""
     diag = [s.total_excitation for s in space.states]
-    return _frozen(np.diag(np.asarray(diag, dtype=complex)))
+    return frozen(np.diag(np.asarray(diag, dtype=complex)))
 
 
+@lru_cache(maxsize=None)
 def computational_indices(space: StateSpace) -> tuple[int, int, int, int]:
     """Indices of the logical basis in the order of ``SEEDS``: |00>, |01>, |10>, |11>."""
     return tuple(space.index_of(seed) for seed in SEEDS)
@@ -292,21 +292,32 @@ def photon_space(space: StateSpace) -> PhotonSpace:
     return PhotonSpace(tuple(sorted({s.occupations for s in space.states})))
 
 
+@lru_cache(maxsize=None)
+def _atom_blocks(space: StateSpace) -> tuple:
+    """Per atom configuration, the ``np.ix_`` gather of its basis block and the
+    scatter into :func:`photon_space`; within one configuration the photonic
+    occupations are distinct."""
+    target = photon_space(space)
+    atoms = [(s.a1, s.a2) for s in space.states]
+    blocks = []
+    for config in sorted(set(atoms)):
+        rows = [i for i, a in enumerate(atoms) if a == config]
+        cols = [target.index_of(space.states[i].occupations) for i in rows]
+        blocks.append(tuple(tuple(frozen(ix) for ix in np.ix_(idx, idx))
+                            for idx in (rows, cols)))
+    return tuple(blocks)
+
+
 def partial_trace_atoms(rho: DensityMatrix) -> DensityMatrix:
     """Trace out both atoms, keeping the photonic occupations.
 
     Coherences between different atom configurations drop; the trace is
     preserved exactly because every basis state contributes its diagonal.
     """
-    space = rho.space
-    target = photon_space(space)
+    target = photon_space(rho.space)
     reduced = np.zeros((target.dim, target.dim), dtype=complex)
-    atoms = [(s.a1, s.a2) for s in space.states]
-    for config in sorted(set(atoms)):
-        # within one atom configuration the photonic occupations are distinct
-        rows = [i for i, a in enumerate(atoms) if a == config]
-        cols = [target.index_of(space.states[i].occupations) for i in rows]
-        reduced[np.ix_(cols, cols)] += rho.matrix[np.ix_(rows, rows)]
+    for rows, cols in _atom_blocks(rho.space):
+        reduced[cols] += rho.matrix[rows]
     # no re-validation: the map is linear, so the output is exactly as valid
     # as its input (first-order stepping legitimately leaves O(dt) negativity)
     return DensityMatrix(target, reduced, check=False)

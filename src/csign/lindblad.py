@@ -20,12 +20,16 @@ the ``dt_steps``-th power by repeated squaring: ``dt_steps`` still fixes the
 numbers, but costs about 2 log2(dt_steps) small matrix products.  Every term
 A X B is written as (B^T kron A) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), restricted to one sector, so the d^2 x d^2 map is never formed.
+
+The spectrum of H (cached by H's bytes) and the sector partition (cached by
+the zero patterns) are shared by every point of a sweep at one H.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -87,13 +91,27 @@ NON_HERMITIAN_LIMIT = 1e-9
 POSITIVITY_LIMIT = -0.1  # genuine runs sit at round-off; blowups are O(1) negative
 
 
-def unitary_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) through the spectral decomposition of the Hermitian H."""
+def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, evecs) of the Hermitian H, cached by its dtype, shape and bytes:
+    the points of a duration or leak sweep share one H."""
     h = np.asarray(h)
+    return _eigh(h.dtype.str, h.shape, h.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _eigh(dtype: str, shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # a non-Hermitian H raises before it is stored, so it raises on every call
+    h = np.frombuffer(data, dtype=dtype).reshape(shape)
     herm = np.max(np.abs(h - h.conj().T))
     if herm > NON_HERMITIAN_LIMIT:
         raise PhysicsValidationError(f"generator non-Hermitian by {herm:.3e}")
     evals, evecs = np.linalg.eigh(h)
+    return fock.frozen(evals), fock.frozen(evecs)
+
+
+def unitary_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt H) through the spectral decomposition of the Hermitian H."""
+    evals, evecs = _spectrum(h)
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
@@ -145,6 +163,26 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
         groups.append(np.divmod(entries, dim))
         start += size * count
     return groups
+
+
+def _partition(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
+    """The mask of state pairs inside one block of H, and :func:`_sectors`.
+
+    Both depend only on the zero patterns of H, ``half_m`` and the jumps,
+    which every point of a leak sweep shares, so they are cached by those.
+    """
+    return _partition_of(len(h), len(jumps), (h != 0).tobytes(),
+                         (half_m != 0).tobytes(), (jumps != 0).tobytes())
+
+
+@lru_cache(maxsize=16)
+def _partition_of(dim: int, n_jumps: int, h_nz: bytes, m_nz: bytes, jumps_nz: bytes):
+    h_nz, m_nz = (np.frombuffer(nz, dtype=bool).reshape(dim, dim) for nz in (h_nz, m_nz))
+    jumps_nz = np.frombuffer(jumps_nz, dtype=bool).reshape(n_jumps, dim, dim)
+    h_block = _components(h_nz)
+    sectors = tuple(tuple(fock.frozen(ix) for ix in pair)
+                    for pair in _sectors(h_nz, m_nz, jumps_nz))
+    return fock.frozen(h_block[:, None] == h_block), sectors
 
 
 def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
@@ -216,7 +254,7 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
 
     dt = total_time / cfg.dt_steps
     h = np.asarray(h)
-    norm = float(np.linalg.norm(h, 2))
+    norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
     if dt * norm > 0.1:
         warnings.warn(
             f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
@@ -224,11 +262,10 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
             RuntimeWarning, stacklevel=2)
 
     jumps, half_m = _pack_channels(channels, space.dim)
-    h_block = _components(h != 0)
+    same_block, sectors = _partition(h, half_m, jumps)
     # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
-    u = np.where(h_block[:, None] == h_block, unitary_step_matrix(h, dt), 0)
-    mat = _power_by_sector(mat, u, jumps, half_m, dt, cfg.dt_steps,
-                           _sectors(h, half_m, jumps))
+    u = np.where(same_block, unitary_step_matrix(h, dt), 0)
+    mat = _power_by_sector(mat, u, jumps, half_m, dt, cfg.dt_steps, sectors)
     drift, lo = check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)

@@ -158,6 +158,17 @@ class TestLadderOperators:
         assert np.allclose(np.diag(n).real,
                            [s.total_excitation for s in space.states])
 
+    def test_lowered_state_missing_from_basis_raises(self, space):
+        # with the vacuum dropped, x1 and a1 lower (1,0,0,0,g,g) and
+        # (0,0,0,0,e,g) out of the basis: the operator must not come back
+        # silently truncated
+        vacuum = fock.BasisState(0, 0, 0, 0, fock.G, fock.G)
+        trimmed = fock.StateSpace(tuple(s for s in space.states if s != vacuum))
+        with pytest.raises(KeyError):
+            fock.annihilation_matrix("x1", trimmed)
+        with pytest.raises(KeyError):
+            fock.atom_lowering_matrix("a1", trimmed)
+
 
 class TestDualRail:
     @pytest.mark.parametrize("qx,qy,expected", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -302,6 +303,19 @@ class TestEvolve:
         h = 50.0 * np.diag([0.0, 1.0, 2.0])
         with pytest.warns(RuntimeWarning):
             lindblad.evolve(dm(space, rho0), h, [], 1.0, StepperConfig(dt_steps=10))
+
+    @pytest.mark.parametrize("phase, warns", [(0.0999, False), (0.1001, True)])
+    def test_step_warning_threshold(self, rng, phase, warns):
+        # dt * ||H|| just below and just above 0.1 rad, on a dense H
+        dim = 4
+        rho0 = random_hermitian(rng, dim, trace_one=True)
+        h = random_hermitian(rng, dim)
+        h *= phase / (0.1 * np.linalg.norm(h, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lindblad.evolve(dm(mode_space(dim), rho0), h, [], 1.0,
+                            StepperConfig(dt_steps=10))
+        assert any(issubclass(w.category, RuntimeWarning) for w in caught) == warns
 
     def test_rejects_negative_time(self):
         space = mode_space(2)
