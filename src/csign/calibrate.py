@@ -72,17 +72,19 @@ def commensurable_detunings(r) -> float:
     return math.sqrt(float(d_sq))
 
 
-def candidate_table(params: PhysParams, horizon: float) -> list[dict]:
-    """Rows (t, delta_over_g, residual) for every sign-flip candidate in range.
+def candidate_table(params: PhysParams, horizon_t: float) -> list[dict]:
+    """Rows (t, delta_over_g, residual) for every sign-flip candidate up to
+    the duration ``horizon_t``.
 
-    ``t`` is the duration in gate units T * sqrt(2) g / pi; the residual is
-    :func:`transit_mismatch` at that duration.
+    ``t`` and ``horizon_t`` are durations in gate units T * sqrt(2) g / pi;
+    the residual is :func:`transit_mismatch` at that duration.
     """
-    if horizon <= 0:
+    if horizon_t <= 0:
         return []
+    unit = math.pi / (math.sqrt(2.0) * params.g)
+    horizon = horizon_t * unit
     half_period = TWO_PI / rabi_frequency(1, params)
     taus = np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period)
-    unit = math.pi / (math.sqrt(2.0) * params.g)
     return [{"t": float(tau / unit),
              "delta_over_g": params.delta / params.g,
              "residual": transit_mismatch(params, tau)}

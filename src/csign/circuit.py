@@ -2,10 +2,10 @@
 
 Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
-simultaneously for the gate duration (one exact unitary when lossless,
-trotterized master-equation evolution with photon leak), an
-optional compensating phase shifter acts on both cavity rails, and a second
-beamsplitter recombines.  The two-photon bunching of the first
+simultaneously for the gate duration (``lindblad.evolve``: the exact
+exponential when lossless, trotterized master-equation evolution with photon
+leak), an optional compensating phase shifter acts on both cavity rails, and
+a second beamsplitter recombines.  The two-photon bunching of the first
 beamsplitter is what routes the |11> input through the cavity nonlinearity.
 
 The reported error is the operator-norm distance between the final state and
@@ -29,8 +29,7 @@ import numpy as np
 from . import fock
 from .dynamics import PhysParams, build_array_hamiltonian, jc_return_amplitude
 from .errors import PhysicsValidationError
-from .lindblad import (EvolveResult, StepperConfig, check_state, evolve,
-                       leak_channels, unitary_step_matrix)
+from .lindblad import StepperConfig, evolve, leak_channels
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 
@@ -78,11 +77,11 @@ class SimParams:
 class GateReport:
     """Outcome of one run: photonic output, error, and diagnostics.
 
-    ``propagation`` names the cavity-stage scheme ("closed_form", "stepped",
-    or "ideal_ns" for the ideal-sign self-check) and ``n_steps`` counts its
-    trotter steps (0 unless stepped).  A stepped run reports ``dt_steps``
-    steps: its numbers are those of that many first-order steps, even though
-    ``lindblad.evolve`` evaluates them as a matrix power.
+    ``propagation`` names the cavity-stage path that ``lindblad.evolve`` took
+    ("closed_form" or "stepped", or "ideal_ns" for the ideal-sign self-check)
+    and ``n_steps`` counts its trotter steps (0 unless stepped).  A stepped
+    run reports ``dt_steps`` steps: its numbers are those of that many
+    first-order steps, even though ``evolve`` evaluates them as a matrix power.
     """
 
     params: SimParams
@@ -140,9 +139,9 @@ def beamsplitter_unitary(pair: tuple[str, str], space: fock.StateSpace) -> np.nd
     Photon redistribution amplitudes come from the creation-operator
     expansion; the |1,1> input bunches, with no |1,1> component left.
     """
+    if sorted(pair) != ["x1", "y1"]:  # on an idle rail it bunches out of the basis
+        raise PhysicsValidationError(f"invalid rail pair {pair}: the splitter acts on x1, y1")
     r1, r2 = pair
-    if r1 not in fock.RAILS or r2 not in fock.RAILS or r1 == r2:
-        raise PhysicsValidationError(f"invalid rail pair {pair}")
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for col, s in enumerate(space.states):
         n, m = s.rail_occupation(r1), s.rail_occupation(r2)
@@ -211,7 +210,6 @@ def p_test(space: fock.StateSpace) -> fock.DensityMatrix:
 def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
                        mixed: bool = False) -> fock.DensityMatrix:
     """Random two-photon input on the logical subspace (atoms in g), seedable."""
-    idx = fock.computational_indices(space)
     if mixed:
         gmat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         block = gmat @ gmat.conj().T
@@ -221,7 +219,7 @@ def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
         psi /= np.linalg.norm(psi)
         block = np.outer(psi, psi.conj())
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[np.ix_(idx, idx)] = block
+    mat[fock._logical_block(space)] = block
     return fock.DensityMatrix(space, mat)
 
 
@@ -254,47 +252,27 @@ def compensating_phase(params: SimParams) -> float:
 
 
 def _ideal_reference(rho_in: fock.DensityMatrix, space: fock.StateSpace) -> np.ndarray:
-    idx = fock.computational_indices(space)
-    block = rho_in.matrix[np.ix_(idx, idx)]
+    logical = fock._logical_block(space)
+    block = rho_in.matrix[logical]
     support = rho_in.trace - float(block.trace().real)
     if abs(support) > COMPUTATIONAL_SUPPORT_TOL:
         raise PhysicsValidationError(
             f"input has weight {support:.3e} outside the logical subspace")
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[np.ix_(idx, idx)] = ideal_csign(block)
+    out[logical] = ideal_csign(block)
     return out
-
-
-def cavity_stage(rho: fock.DensityMatrix, params: SimParams) -> tuple[EvolveResult, str]:
-    """Both cavities' transit for the gate duration; returns the result and
-    the propagation path taken.
-
-    Lossless runs take one spectral exponential exp(-i H T), which is exact,
-    so ``dt_steps`` has no effect on them ("closed_form").  With the photon
-    leak on, the transit is ``dt_steps`` first-order trotter steps
-    ("stepped"), evaluated as a matrix power by ``lindblad.evolve``.  Both
-    run in the frame rotating at the cavity frequency, which is exact here:
-    the total excitation N commutes with H and each L^dag L, and [N, L] = -L.
-    """
-    space = rho.space
-    h = build_array_hamiltonian(space, params.phys, frame="rotating")
-    channels = leak_channels(space, params.ly_over_g * params.g)
-    if channels:
-        return evolve(rho, h, channels, params.total_time, params.stepper), "stepped"
-    u = unitary_step_matrix(h, params.total_time)
-    mat = u @ rho.matrix @ u.conj().T
-    drift, lo = check_state(mat, "after the closed-form transit")
-    return EvolveResult(fock.DensityMatrix(space, mat, check=False), 0, drift, lo), \
-        "closed_form"
 
 
 def run_array(rho_in: fock.DensityMatrix, params: SimParams,
               space: fock.StateSpace = None, use_ideal_ns: bool = False) -> GateReport:
     """Run the full array on a valid two-photon input and score it.
 
-    ``use_ideal_ns`` replaces the cavity stage with the ideal nonlinear sign
-    map on both cavity rails (no atoms touched), which reduces the pipeline
-    to the exact C-Sign and is used as a structural self-check.
+    The cavity stage runs in the frame rotating at the cavity frequency,
+    which is exact here: the total excitation N commutes with H and each
+    L^dag L, and [N, L] = -L.  ``use_ideal_ns`` replaces the cavity stage with
+    the ideal nonlinear sign map on both cavity rails (no atoms touched),
+    which reduces the pipeline to the exact C-Sign and is used as a
+    structural self-check.
     """
     started = time.perf_counter()
     if space is None:
@@ -313,10 +291,13 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
         ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
         mat = ns @ mat @ ns.conj().T
     else:
-        result, propagation = cavity_stage(fock.DensityMatrix(space, mat, check=False),
-                                           params)
+        h = build_array_hamiltonian(space, params.phys, frame="rotating")
+        channels = leak_channels(space, params.ly_over_g * params.g)
+        result = evolve(fock.DensityMatrix(space, mat, check=False), h, channels,
+                        params.total_time, params.stepper)
         mat = np.array(result.rho.matrix)
-        trace_drift, n_steps = result.trace_drift, result.n_steps
+        trace_drift, n_steps, propagation = \
+            result.trace_drift, result.n_steps, result.propagation
         if params.phs:
             phi = compensating_phase(params)
             shift = phase_shifter_unitary("x1", phi, space) @ \

@@ -15,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
 import yaml
 
 from . import __version__, calibrate, circuit, fock, sweep
@@ -197,10 +196,8 @@ def cmd_calibrate(args) -> int:
         for row in calibrate.detuning_table(fracs):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
-        unit = np.pi / (np.sqrt(2.0) * params.g)
         lines.append("t,delta_over_g,residual")
-        for row in calibrate.candidate_table(params.phys,
-                                             section.get("horizon_t", 0.0) * unit):
+        for row in calibrate.candidate_table(params.phys, section.get("horizon_t", 0.0)):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
     _write_output(args.out, "\n".join(lines) + "\n")

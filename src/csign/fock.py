@@ -287,6 +287,13 @@ def computational_indices(space: StateSpace) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
+def _logical_block(space: StateSpace) -> tuple:
+    """The ``np.ix_`` gather of the logical 4x4 block of a full matrix."""
+    idx = computational_indices(space)
+    return tuple(frozen(ix) for ix in np.ix_(idx, idx))
+
+
+@lru_cache(maxsize=None)
 def photon_space(space: StateSpace) -> PhotonSpace:
     """Distinct photonic occupations appearing in the basis, sorted."""
     return PhotonSpace(tuple(sorted({s.occupations for s in space.states})))

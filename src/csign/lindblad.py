@@ -1,14 +1,17 @@
-"""First-order trotterized master equation with photon-leak jumps.
+"""The cavity-stage propagator: the exact exponential, or the first-order
+trotterized master equation when photon-leak jumps are present.
 
-One step conjugates the density matrix with the exact unitary of the step
-interval and then adds the dissipator at first order:
+With no jump channel the run is one spectral exponential exp(-i H T), which
+is exact ("closed_form").  With jumps ("stepped"), one step conjugates the
+density matrix with the exact unitary of the step interval and then adds the
+dissipator at first order:
 
     rho'  =  U rho U^dag  +  dt * sum_i ( L_i rho L_i^dag
                                           - (L_i^dag L_i rho + rho L_i^dag L_i) / 2 )
 
-The unitary factor is exact (spectral exponential), so with no jump channels
-the scheme has no time-step error at all; the dissipator makes it first order
-in dt.  A leaky run of duration T is ``dt_steps`` steps of dt = T / dt_steps.
+The unitary factor is exact (spectral exponential); the dissipator makes the
+scheme first order in dt.  A leaky run of duration T is ``dt_steps`` steps of
+dt = T / dt_steps.
 Jump prefactors (the leak coefficient) are folded into the L matrices.
 
 The step is linear and the same at every step, so the run is the
@@ -81,10 +84,13 @@ class StepperConfig:
 
 @dataclass
 class EvolveResult:
+    """The evolved state, its checks, and the path taken ("closed_form" or "stepped")."""
+
     rho: fock.DensityMatrix
     n_steps: int
     trace_drift: float
     min_eigenvalue: float
+    propagation: str
 
 
 NON_HERMITIAN_LIMIT = 1e-9
@@ -115,13 +121,10 @@ def unitary_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def _pack_channels(channels: Sequence[LindbladChannel], dim: int):
-    if channels:
-        jumps = np.stack([np.asarray(c.matrix, dtype=complex) for c in channels])
-    else:
-        jumps = np.zeros((0, dim, dim), dtype=complex)
-    half_m = 0.5 * np.einsum("kji,kjl->il", jumps.conj(), jumps)
-    return jumps, half_m
+def _pack_channels(channels: Sequence[LindbladChannel]):
+    """The jumps stacked, and half_m = sum_k L_k^dag L_k / 2."""
+    jumps = np.stack([c.matrix for c in channels])
+    return jumps, 0.5 * np.einsum("kji,kjl->il", jumps.conj(), jumps)
 
 
 def _components(links: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
     return out
 
 
-def check_state(rho: np.ndarray, where: str):
+def _check_state(rho: np.ndarray, where: str):
     """Trace drift and lowest eigenvalue of ``rho``; DiagnosticError past the limits."""
     if not np.all(np.isfinite(rho)):
         raise DiagnosticError(f"non-finite density matrix entries {where}")
@@ -237,23 +240,31 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
            cfg: StepperConfig = StepperConfig()) -> EvolveResult:
     """Evolve the density matrix for ``total_time`` under H and the jump channels.
 
-    The result is that of exactly ``cfg.dt_steps`` first-order steps of
-    dt = T / dt_steps, evaluated as the ``dt_steps``-th power of the one-step
-    map on each sector of vec(rho) that the input touches (about
-    2 log2(dt_steps) small matrix products per sector).  The state is then
-    checked once: a trace drift beyond ``StepperConfig.trace_tol``, a clearly
-    negative eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
+    With no jump channel the result is U rho U^dag with U = exp(-i H T), exact,
+    so ``dt_steps`` has no effect ("closed_form", no steps).  With jumps it is
+    that of exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
+    ("stepped"), evaluated as the ``dt_steps``-th power of the one-step map on
+    each sector of vec(rho) that the input touches (about 2 log2(dt_steps)
+    small matrix products per sector).  The state is then checked once: a
+    trace drift beyond ``StepperConfig.trace_tol``, a clearly negative
+    eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
     """
     if total_time < 0:
         raise PhysicsValidationError(f"total_time must be >= 0, got {total_time}")
     space = rho.space
-    mat = np.array(rho.matrix, dtype=complex)
+    propagation = "stepped" if channels else "closed_form"
     if total_time == 0:
-        return EvolveResult(rho, 0, abs(mat.trace().real - 1.0),
-                            float(np.linalg.eigvalsh(mat)[0]))
+        return EvolveResult(rho, 0, abs(rho.matrix.trace().real - 1.0),
+                            float(np.linalg.eigvalsh(rho.matrix)[0]), propagation)
+    h = np.asarray(h)
+    if not channels:
+        u = unitary_step_matrix(h, total_time)
+        mat = u @ rho.matrix @ u.conj().T
+        drift, lo = _check_state(mat, "after the closed-form transit")
+        return EvolveResult(fock.DensityMatrix(space, mat, check=False), 0, drift, lo,
+                            propagation)
 
     dt = total_time / cfg.dt_steps
-    h = np.asarray(h)
     norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
     if dt * norm > 0.1:
         warnings.warn(
@@ -261,12 +272,12 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
             "consider more dt_steps or the rotating frame",
             RuntimeWarning, stacklevel=2)
 
-    jumps, half_m = _pack_channels(channels, space.dim)
+    jumps, half_m = _pack_channels(channels)
     same_block, sectors = _partition(h, half_m, jumps)
     # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
     u = np.where(same_block, unitary_step_matrix(h, dt), 0)
-    mat = _power_by_sector(mat, u, jumps, half_m, dt, cfg.dt_steps, sectors)
-    drift, lo = check_state(mat, f"after {cfg.dt_steps} steps")
+    mat = _power_by_sector(rho.matrix, u, jumps, half_m, dt, cfg.dt_steps, sectors)
+    drift, lo = _check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
-    return EvolveResult(out, cfg.dt_steps, drift, lo)
+    return EvolveResult(out, cfg.dt_steps, drift, lo, propagation)

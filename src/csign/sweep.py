@@ -298,20 +298,11 @@ def find_detuned_optimum(t_values: Sequence[float], delta_values: Sequence[float
 
 
 def robustness_profile(t: float, delta_opt: float, base: circuit.SimParams,
-                       delta_offsets: Sequence[float] = (),
-                       ly_values: Sequence[float] = ()) -> list[SweepRecord]:
-    """Error around one optimum: detuning offsets at fixed leak, then leak
-    values at the optimal detuning.  Offsets are relative to the optimum."""
-    records = []
-    base_at = replace(base, t=t)
-    if delta_offsets:
-        axis = Axis("delta_over_g", tuple(delta_opt + off for off in delta_offsets))
-        records += run_sweep(SweepSpec(axes=(axis,), base=base_at))
-    if ly_values:
-        axis = Axis("ly_over_g", tuple(ly_values))
-        records += run_sweep(
-            SweepSpec(axes=(axis,), base=replace(base_at, delta_over_g=delta_opt)))
-    return records
+                       ly_values: Sequence[float]) -> list[SweepRecord]:
+    """Error around one optimum: the leak values at its duration and detuning."""
+    axis = Axis("ly_over_g", tuple(ly_values))
+    return run_sweep(SweepSpec(axes=(axis,),
+                               base=replace(base, t=t, delta_over_g=delta_opt)))
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ class TestPartitionCache:
 class TestReadOnly:
     def test_every_cached_array_is_read_only(self, space):
         h = dynamics.build_array_hamiltonian(space, PhysParams(), frame="rotating")
-        jumps, half_m = lindblad._pack_channels(lindblad.leak_channels(space, 1e-3), space.dim)
+        jumps, half_m = lindblad._pack_channels(lindblad.leak_channels(space, 1e-3))
         mask, sectors = lindblad._partition(h, half_m, jumps)
         arrays = [
             fock.annihilation_matrix("x1", space), fock.atom_lowering_matrix("a1", space),
@@ -151,6 +151,7 @@ class TestReadOnly:
             *lindblad._spectrum(h), mask,
         ]
         arrays += [ix for block in fock._atom_blocks(space) for pair in block for ix in pair]
+        arrays += list(fock._logical_block(space))
         arrays += [ix for pair in sectors for ix in pair]
         for array in arrays:
             assert not array.flags.writeable

@@ -16,9 +16,9 @@ def resonant():
     return PhysParams(g=G, omega_c=10.0, delta=0.0)
 
 
-def best_candidate(params, horizon):
+def best_candidate(params, horizon_t):
     """(t, residual) of the lowest-residual row of the candidate table."""
-    best = min(calibrate.candidate_table(params, horizon), key=lambda row: row["residual"])
+    best = min(calibrate.candidate_table(params, horizon_t), key=lambda row: row["residual"])
     return best["t"], best["residual"]
 
 
@@ -27,14 +27,14 @@ class TestBestTau:
     sign-flip candidate that ``csign calibrate`` tabulates."""
 
     def test_first_optimum_is_three_units(self):
-        t, residual = best_candidate(resonant(), horizon=3.05 * T_UNIT)
+        t, residual = best_candidate(resonant(), horizon_t=3.05)
         assert t == pytest.approx(3.0, abs=1e-12)
         assert residual < 0.5
 
     def test_residuals_decrease_along_optima(self):
         vals = {}
         for t_opt in (17, 41, 99):
-            t, residual = best_candidate(resonant(), horizon=(t_opt + 0.5) * T_UNIT)
+            t, residual = best_candidate(resonant(), horizon_t=t_opt + 0.5)
             assert t == pytest.approx(t_opt, abs=1e-9)
             vals[t_opt] = residual
         assert vals[99] < vals[41] < vals[17]
@@ -42,12 +42,12 @@ class TestBestTau:
     def test_returned_tau_is_argmin_over_candidates(self):
         # the candidates are exactly the odd sign flips, each with its mismatch
         p = resonant()
-        rows = calibrate.candidate_table(p, 20 * T_UNIT)
+        rows = calibrate.candidate_table(p, 20)
         flips = np.arange(1, 21, 2)
         assert np.allclose([row["t"] for row in rows], flips, atol=1e-9)
         values = [calibrate.transit_mismatch(p, f * T_UNIT) for f in flips]
         assert [row["residual"] for row in rows] == pytest.approx(values, abs=1e-12)
-        t, residual = best_candidate(p, 20 * T_UNIT)
+        t, residual = best_candidate(p, 20)
         assert residual == pytest.approx(min(values), abs=1e-12)
         assert t == pytest.approx(flips[int(np.argmin(values))], abs=1e-9)
 
@@ -55,12 +55,12 @@ class TestBestTau:
         p = resonant()
         last = math.inf
         for horizon_t in (5, 10, 20, 50, 100):
-            _, residual = best_candidate(p, horizon_t * T_UNIT)
+            _, residual = best_candidate(p, horizon_t)
             assert residual <= last + 1e-15
             last = residual
 
     def test_too_short_horizon(self):
-        assert calibrate.candidate_table(resonant(), horizon=0.1 * T_UNIT) == []
+        assert calibrate.candidate_table(resonant(), horizon_t=0.1) == []
 
 
 class TestCommensurableDetunings:
@@ -109,7 +109,7 @@ class TestTables:
     def test_candidate_table_running_min_matches_known_optima(self):
         # among the sign-flip candidates, the strictly-improving durations
         # past the first are 3, 7, 17, 41, 99
-        rows = calibrate.candidate_table(resonant(), horizon=100.5 * T_UNIT)
+        rows = calibrate.candidate_table(resonant(), horizon_t=100.5)
         assert [round(r["t"]) for r in rows[:3]] == [1, 3, 5]
         best = math.inf
         improving = []
@@ -121,7 +121,7 @@ class TestTables:
         assert improving == [3, 7, 17, 41, 99]
 
     def test_candidate_table_empty_horizon(self):
-        assert calibrate.candidate_table(resonant(), horizon=0.0) == []
+        assert calibrate.candidate_table(resonant(), horizon_t=0.0) == []
 
     def test_detuning_table_roundtrip_column(self):
         rows = calibrate.detuning_table([Fraction(5, 7), Fraction(14, 15)])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from csign.errors import PhysicsValidationError
 from csign.lindblad import StepperConfig
 
 from conftest import random_hermitian
-from oracles import csign_zero_leak_error, two_mode_bs_matrix, _tm_idx
+from oracles import csign_zero_leak_error, trotter_steps, two_mode_bs_matrix, _tm_idx
 
 FAST = StepperConfig(dt_steps=400)
 
@@ -73,8 +74,11 @@ class TestBeamsplitter:
         assert b[i, i] == pytest.approx(1.0)
 
     def test_rejects_bad_pair(self, space):
-        with pytest.raises(PhysicsValidationError):
-            circuit.beamsplitter_unitary(("x1", "x1"), space)
+        # a splitter on an idle rail bunches two photons there, outside the
+        # basis; the error names the pair
+        for pair in (("x1", "x1"), ("x1", "x2"), ("x2", "y2"), ("y1", "y2")):
+            with pytest.raises(PhysicsValidationError, match=re.escape(str(pair))):
+                circuit.beamsplitter_unitary(pair, space)
 
 
 class TestPhaseShifter:
@@ -300,16 +304,21 @@ class TestRunArray:
 
 
 class TestClosedFormTransit:
-    """The lossless closed form against the reference trotter stepper."""
+    """The lossless closed form against the explicit step loop
+    ``oracles.trotter_steps`` with no jumps."""
 
-    # the reference stepper's coarse steps trip its step-phase advisory
-    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    REFERENCE_STEPS = 2000
 
-    @staticmethod
-    def stepped_stage(rho, params):
-        h = build_array_hamiltonian(rho.space, params.phys, frame="rotating")
-        return lindblad.evolve(rho, h, [], params.total_time,
-                               StepperConfig(dt_steps=2000)), "stepped"
+    @classmethod
+    def stepped_stage(cls, rho, h, channels, total_time, cfg):
+        # stands in for ``lindblad.evolve`` in ``run_array``
+        assert not channels
+        dt = total_time / cls.REFERENCE_STEPS
+        mat = trotter_steps(rho.matrix, lindblad.unitary_step_matrix(h, dt), [], dt,
+                            cls.REFERENCE_STEPS)
+        return lindblad.EvolveResult(fock.DensityMatrix(rho.space, mat, check=False),
+                                     cls.REFERENCE_STEPS, abs(mat.trace().real - 1.0),
+                                     float(np.linalg.eigvalsh(mat)[0]), "stepped")
 
     @staticmethod
     def draws():
@@ -326,13 +335,15 @@ class TestClosedFormTransit:
         b = circuit.beamsplitter_unitary(("x1", "y1"), space)
         stage_in = fock.DensityMatrix(space, b @ probe.matrix @ b.conj().T, check=False)
         for params in self.draws():
-            closed, path = circuit.cavity_stage(stage_in, params)
-            stepped, _ = self.stepped_stage(stage_in, params)
-            assert path == "closed_form" and closed.n_steps == 0
+            h = build_array_hamiltonian(space, params.phys, frame="rotating")
+            closed = lindblad.evolve(stage_in, h, [], params.total_time)
+            stepped = self.stepped_stage(stage_in, h, [], params.total_time, None)
+            assert (closed.propagation, closed.n_steps) == ("closed_form", 0)
             assert np.max(np.abs(closed.rho.matrix - stepped.rho.matrix)) <= 1e-9, params
             report = circuit.run_array(probe, params, space)
+            assert (report.propagation, report.n_steps) == ("closed_form", 0)
             with monkeypatch.context() as patch:
-                patch.setattr(circuit, "cavity_stage", self.stepped_stage)
+                patch.setattr(circuit, "evolve", self.stepped_stage)
                 reference = circuit.run_array(probe, params, space)
             assert abs(report.error - reference.error) <= 1e-9, params
             assert np.max(np.abs(report.rho_out.matrix
@@ -340,19 +351,23 @@ class TestClosedFormTransit:
             assert report.trace_drift <= 1e-12
 
     def test_leaky_run_is_stepped(self, space, probe, monkeypatch):
+        # every non-ideal run makes exactly one ``evolve`` call, lossless or leaky
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(args[3])
+            calls.append((len(args[2]), args[3]))
             return lindblad.evolve(*args, **kwargs)
 
         monkeypatch.setattr(circuit, "evolve", spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
-        assert calls == [params.total_time]
+        assert calls == [(2, params.total_time)]
         assert (report.propagation, report.n_steps) == ("stepped", 400)
-        assert circuit.run_array(probe, SimParams(t=3.0), space).propagation == "closed_form"
-        assert calls == [params.total_time]
+        lossless = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)
+        assert (lossless.propagation, lossless.n_steps) == ("closed_form", 0)
+        assert calls == [(2, params.total_time), (0, params.total_time)]
+        circuit.run_array(probe, params, space, use_ideal_ns=True)
+        assert len(calls) == 2
 
 
 class TestRandomInputAgreement:

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,14 +65,18 @@ class TestUnitaryStep:
 class TestLindbladStep:
     """One trotter update: ``evolve`` with a single step."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # one coarse step
     def test_no_channels_is_pure_conjugation(self, rng):
+        # no jump: one exact exponential, bit for bit, with no step count and
+        # no step-phase warning even at dt*||H|| of about 1e4 rad
         rho = random_hermitian(rng, 5, trace_one=True)
-        h = random_hermitian(rng, 5)
-        out = lindblad.evolve(dm(mode_space(5), rho), h, [], 0.11,
-                              StepperConfig(dt_steps=1)).rho.matrix
-        u = lindblad.unitary_step_matrix(h, 0.11)
-        assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-13)
+        h = 1e3 * random_hermitian(rng, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lindblad.evolve(dm(mode_space(5), rho), h, [], 11.0,
+                                  StepperConfig(dt_steps=1))
+        u = lindblad.unitary_step_matrix(h, 11.0)
+        assert np.array_equal(res.rho.matrix, u @ rho @ u.conj().T)
+        assert (res.propagation, res.n_steps) == ("closed_form", 0)
 
     def test_trace_preserved_with_channels(self, rng):
         dim = 4
@@ -102,7 +105,7 @@ class TestFirstOrderOracle:
         res = lindblad.evolve(dm(mode_space(dim), rho0), h,
                               [LindbladChannel(j) for j in jumps], total,
                               StepperConfig(dt_steps=n_steps))
-        assert res.n_steps == n_steps
+        assert res.n_steps == (n_steps if jumps else 0)
         assert np.max(np.abs(res.rho.matrix - expected)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -218,7 +221,7 @@ class TestEvolve:
         assert res.n_steps == 0
 
     def test_zero_channels_matches_exact_conjugation(self, rng):
-        # oracle: one-shot spectral exponential of the full duration
+        # oracle: the Taylor exponential of the dense generator, no eigh
         dim = 6
         space = mode_space(dim)
         h = random_hermitian(rng, dim)
@@ -226,9 +229,9 @@ class TestEvolve:
         total = 7.3
         res = lindblad.evolve(dm(space, rho0), h, [], total,
                               StepperConfig(dt_steps=500))
-        u = lindblad.unitary_step_matrix(h, total)
-        exact = u @ rho0 @ u.conj().T
-        assert np.max(np.abs(res.rho.matrix - exact)) < 1e-8
+        exact = exact_master_equation(rho0, h, [], total)
+        assert np.max(np.abs(res.rho.matrix - exact)) < 1e-10
+        assert (res.propagation, res.n_steps) == ("closed_form", 0)
 
     def test_two_photon_recurrence(self):
         # resonant two-photon exchange returns at multiples of pi/(sqrt(2) g)
@@ -297,23 +300,26 @@ class TestEvolve:
                             10.0, StepperConfig(dt_steps=2))
 
     def test_step_warning_for_large_phase(self, rng):
+        # the step-phase warning belongs to the stepped path: the run leaks
         dim = 3
         space = mode_space(dim)
         rho0 = random_hermitian(rng, dim, trace_one=True)
         h = 50.0 * np.diag([0.0, 1.0, 2.0])
+        leak = [LindbladChannel(0.01 * lowering(dim), "leak")]
         with pytest.warns(RuntimeWarning):
-            lindblad.evolve(dm(space, rho0), h, [], 1.0, StepperConfig(dt_steps=10))
+            lindblad.evolve(dm(space, rho0), h, leak, 1.0, StepperConfig(dt_steps=10))
 
     @pytest.mark.parametrize("phase, warns", [(0.0999, False), (0.1001, True)])
     def test_step_warning_threshold(self, rng, phase, warns):
-        # dt * ||H|| just below and just above 0.1 rad, on a dense H
+        # dt * ||H|| just below and just above 0.1 rad, on a dense H, leaky
         dim = 4
         rho0 = random_hermitian(rng, dim, trace_one=True)
         h = random_hermitian(rng, dim)
         h *= phase / (0.1 * np.linalg.norm(h, 2))
+        leak = [LindbladChannel(0.01 * lowering(dim), "leak")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lindblad.evolve(dm(mode_space(dim), rho0), h, [], 1.0,
+            lindblad.evolve(dm(mode_space(dim), rho0), h, leak, 1.0,
                             StepperConfig(dt_steps=10))
         assert any(issubclass(w.category, RuntimeWarning) for w in caught) == warns
 
@@ -354,13 +360,14 @@ class TestExactMasterEquation:
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         stage_in = dm(space, bs @ probe.matrix @ bs.conj().T)
         h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
-        jumps = [c.matrix for c in lindblad.leak_channels(space, params.ly_over_g * params.g)]
-        exact = exact_master_equation(stage_in.matrix, h, jumps, params.total_time)
+        channels = lindblad.leak_channels(space, params.ly_over_g * params.g)
+        exact = exact_master_equation(stage_in.matrix, h, [c.matrix for c in channels],
+                                      params.total_time)
         gaps = []
         for n_steps in (500, 1000, 2000, 20000):
-            stepped, path = circuit.cavity_stage(
-                stage_in, replace(params, stepper=StepperConfig(dt_steps=n_steps)))
-            assert path == "stepped"
+            stepped = lindblad.evolve(stage_in, h, channels, params.total_time,
+                                      StepperConfig(dt_steps=n_steps))
+            assert (stepped.propagation, stepped.n_steps) == ("stepped", n_steps)
             gaps.append(circuit.error_rate(exact, stepped.rho))
         assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps[:2], gaps[1:3])), gaps
         assert gaps[3] <= 1e-7, gaps

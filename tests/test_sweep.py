@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from csign.sweep import Axis, SweepRecord, SweepSpec
 
 from oracles import csign_zero_leak_error
 
-# coarse steps are intentional here (zero-leak stepping is exact); silence
-# the step-phase advisory
+# coarse leaky steps are intentional here (lossless runs take no steps);
+# silence the step-phase advisory
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -254,9 +255,15 @@ class TestDetunedOptimum:
 
 
 class TestRobustness:
+    @staticmethod
+    def detuning_profile(t, delta_opt, base, offsets):
+        # detuning offsets around one optimum, as the detuned-optimum
+        # robustness config sweeps them
+        axis = Axis("delta_over_g", tuple(delta_opt + off for off in offsets))
+        return sweep.run_sweep(SweepSpec(axes=(axis,), base=replace(base, t=t)))
+
     def test_zero_offset_reproduces_optimum(self):
-        records = sweep.robustness_profile(3.0, 0.0, FAST_BASE,
-                                           delta_offsets=(0.0,))
+        records = self.detuning_profile(3.0, 0.0, FAST_BASE, (0.0,))
         assert records[0].error == pytest.approx(
             csign_zero_leak_error(3.0, 0.0, 1), abs=1e-9)
 
@@ -272,10 +279,8 @@ class TestRobustness:
         base = SimParams(t=99.0, stepper=StepperConfig(dt_steps=2000))
         d_opt = 4.7997
         offsets = (-3e-3, -1e-3, -3e-4, 3e-4, 1e-3, 3e-3)
-        detuned = sweep.robustness_profile(99.0, d_opt, base,
-                                           delta_offsets=offsets)
-        resonant = sweep.robustness_profile(99.0, 0.0, base,
-                                            delta_offsets=offsets)
+        detuned = self.detuning_profile(99.0, d_opt, base, offsets)
+        resonant = self.detuning_profile(99.0, 0.0, base, offsets)
         for det, res in zip(detuned, resonant):
             assert det.error <= res.error + 1e-6
 
