@@ -1,25 +1,7 @@
-"""Cavity-QED C-Sign gate array: simulator, calibration, and sweeps."""
+"""Cavity-QED C-Sign gate array: simulator, calibration, and sweeps.
+
+Import the modules themselves (``from csign import circuit``); the package
+re-exports nothing, so ``import csign`` loads neither numpy nor yaml.
+"""
 
 __version__ = "0.1.0"
-
-from .circuit import (GateReport, SimParams, error_rate, ideal_csign, p_test,
-                      run_array)
-from .dynamics import PhysParams
-from .errors import (ConfigError, CsignError, DiagnosticError,
-                     PhysicsValidationError)
-from .fock import (BasisState, DensityMatrix, PureState, StateSpace,
-                   default_state_space, enumerate_states)
-from .lindblad import LindbladChannel, StepperConfig, evolve
-from .sweep import (Axis, OptimalSet, SweepRecord, SweepSpec,
-                    extract_optimal_set, find_detuned_optimum, run_sweep)
-
-__all__ = [
-    "__version__",
-    "Axis", "BasisState", "ConfigError", "CsignError", "DensityMatrix",
-    "DiagnosticError", "GateReport", "LindbladChannel", "OptimalSet",
-    "PhysParams", "PhysicsValidationError", "PureState", "SimParams",
-    "StateSpace", "StepperConfig", "SweepRecord", "SweepSpec",
-    "default_state_space", "enumerate_states", "error_rate", "evolve",
-    "extract_optimal_set", "find_detuned_optimum", "ideal_csign", "p_test",
-    "run_array", "run_sweep",
-]

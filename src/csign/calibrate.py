@@ -11,21 +11,25 @@ detuning makes the two generalized Rabi frequencies commensurable instead.
 
 :func:`candidate_table` ranks the exact two-photon sign-flip times by
 :func:`transit_mismatch`; :func:`detuning_table` lists the commensurable
-detunings of given rational frequency ratios.
+detunings of given rational frequency ratios.  All of it is scalar ``math``
+and ``cmath`` on the formulas of :mod:`csign.jc`, so calibration runs
+without numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .dynamics import PhysParams, jc_return_amplitude, rabi_frequency
 from .errors import PhysicsValidationError
+from .jc import PhysParams, jc_return_amplitude, rabi_frequency
 
 TWO_PI = 2.0 * math.pi
+
+#: longest candidate table: a horizon past it is a typo, not a calibration
+MAX_CANDIDATES = 100_000
 
 
 def _angle_dist(x: float, target: float) -> float:
@@ -45,10 +49,10 @@ def transit_mismatch(params: PhysParams, tau: float) -> float:
     """
     u1 = jc_return_amplitude(1, params, tau)
     u2 = jc_return_amplitude(2, params, tau)
-    phase_miss = _angle_dist(float(np.angle(u2)) - 2.0 * float(np.angle(u1)), math.pi)
+    phase_miss = _angle_dist(cmath.phase(u2) - 2.0 * cmath.phase(u1), math.pi)
     residual = max(math.sqrt(max(0.0, 1.0 - abs(u1) ** 2)),
                    math.sqrt(max(0.0, 1.0 - abs(u2) ** 2)))
-    return float(phase_miss + residual)
+    return phase_miss + residual
 
 
 def commensurable_detunings(r) -> float:
@@ -79,13 +83,23 @@ def candidate_table(params: PhysParams, horizon_t: float) -> list[dict]:
     ``t`` and ``horizon_t`` are durations in gate units T * sqrt(2) g / pi;
     the residual is :func:`transit_mismatch` at that duration.
     """
+    if not math.isfinite(horizon_t):
+        raise PhysicsValidationError(f"horizon_t must be finite, got {horizon_t}")
     if horizon_t <= 0:
         return []
     unit = math.pi / (math.sqrt(2.0) * params.g)
     horizon = horizon_t * unit
-    half_period = TWO_PI / rabi_frequency(1, params)
-    taus = np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period)
-    return [{"t": float(tau / unit),
+    start = TWO_PI / rabi_frequency(1, params)  # the first half period
+    stop, step = horizon + 1e-12 * horizon, 2.0 * start
+    # the odd multiples of the half period, spaced as np.arange(start, stop,
+    # step) spaces them, so the durations agree with it bit for bit
+    spacing = (start + step) - start
+    count = math.ceil((stop - start) / step)
+    if count > MAX_CANDIDATES:
+        raise PhysicsValidationError(
+            f"horizon_t {horizon_t} gives more than {MAX_CANDIDATES} candidates")
+    taus = (start + i * spacing for i in range(count))
+    return [{"t": tau / unit,
              "delta_over_g": params.delta / params.g,
              "residual": transit_mismatch(params, tau)}
             for tau in taus]

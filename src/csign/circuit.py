@@ -27,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock
-from .dynamics import PhysParams, build_array_hamiltonian, jc_return_amplitude
+from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
+from .jc import PhysParams, jc_return_amplitude
 from .lindblad import StepperConfig, evolve, leak_channels
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
@@ -50,6 +51,9 @@ class SimParams:
     stepper: StepperConfig = field(default_factory=StepperConfig)
 
     def __post_init__(self):
+        for name in ("t", "delta_over_g", "ly_over_g", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise PhysicsValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t < 0:
             raise PhysicsValidationError(f"duration t must be >= 0, got {self.t}")
         if self.phs not in (0, 1):

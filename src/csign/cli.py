@@ -6,6 +6,10 @@ are rejected.  Flags override the config file; the physics and stepper
 defaults are those of :class:`~csign.circuit.SimParams` and
 :class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
 3 physics validation error, 4 numerical diagnostic error.
+
+Each command imports only what it runs: yaml only with ``--config``, and
+numpy (through circuit, fock, lindblad and sweep) only in ``simulate`` and
+``sweep``; ``calibrate`` runs on the standard library.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import yaml
-
-from . import __version__, calibrate, circuit, fock, sweep
+from . import __version__, calibrate
 from .errors import ConfigError, DiagnosticError, PhysicsValidationError
-from .lindblad import StepperConfig
+from .jc import PhysParams
+from .runio import INPUT_SELECTORS, atomic_write
+
+if TYPE_CHECKING:
+    from . import circuit, sweep
 
 # each key with the type its value must have; a float key also takes a YAML int
 CONFIG_SCHEMA = {
@@ -57,6 +64,8 @@ def _load_config(path: str | None) -> dict:
     """The config file as ``{section: {key: value}}``, every value type-checked."""
     if path is None:
         return {}
+    import yaml  # only a run with a config file pays for it
+
     try:
         with open(path) as handle:
             data = yaml.safe_load(handle)
@@ -92,12 +101,17 @@ def _settings(args, config, section: str) -> dict:
 
 
 def _sim_params(args, config) -> circuit.SimParams:
+    from .circuit import SimParams  # numpy: simulate and sweep only
+    from .lindblad import StepperConfig
+
     # t is the one physics value without a SimParams default
-    return circuit.SimParams(**{"t": 0.0, **_settings(args, config, "physics")},
-                             stepper=StepperConfig(**_settings(args, config, "stepper")))
+    return SimParams(**{"t": 0.0, **_settings(args, config, "physics")},
+                     stepper=StepperConfig(**_settings(args, config, "stepper")))
 
 
 def cmd_simulate(args) -> int:
+    from . import circuit, fock, sweep
+
     config = _load_config(args.config)
     params = _sim_params(args, config)
     space = fock.default_state_space()
@@ -111,12 +125,14 @@ def cmd_simulate(args) -> int:
 def _write_output(out: str | None, text: str):
     """``text`` to the file ``out`` atomically, or to stdout if ``out`` is unset or "-"."""
     if out and out != "-":
-        sweep._atomic_write(out, text)
+        atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
+    from . import sweep
+
     axes_cfg = config.get("sweep", {}).get("axes")
     if not axes_cfg:
         raise ConfigError("sweep requires sweep.axes in the config file")
@@ -145,6 +161,8 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweep
+
     config = _load_config(args.config)
     run = _settings(args, config, "sweep")
     spec = sweep.SweepSpec(
@@ -182,7 +200,9 @@ def cmd_calibrate(args) -> int:
               if key not in CALIBRATE_KEYS.get(section, ())]
     if unread:
         raise ConfigError(f"calibrate does not read config keys {', '.join(unread)}")
-    params = _sim_params(args, config)
+    physics = _settings(args, config, "physics")
+    g = physics.get("g", PhysParams.g)
+    params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)
     section = _settings(args, config, "calibrate")
     ratios = section.get("ratios")
 
@@ -197,7 +217,7 @@ def cmd_calibrate(args) -> int:
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
         lines.append("t,delta_over_g,residual")
-        for row in calibrate.candidate_table(params.phys, section.get("horizon_t", 0.0)):
+        for row in calibrate.candidate_table(params, section.get("horizon_t", 0.0)):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
     _write_output(args.out, "\n".join(lines) + "\n")
@@ -231,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fixes the numbers but costs only about "
                             "log2(dt-steps) small matrix products")
         p.add_argument("--seed", type=int, help="seed for random valid inputs")
-        p.add_argument("--input", choices=sweep.INPUT_SELECTORS,
+        p.add_argument("--input", choices=INPUT_SELECTORS,
                        help="input state selector (default p_test)")
 
     p_sim = sub.add_parser("simulate", help="run the array once, print a JSON report")

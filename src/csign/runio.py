@@ -1,0 +1,31 @@
+"""Run input names and output files, with the standard library only.
+
+The command line needs both before it knows whether a run imports numpy:
+the input-state selectors are the choices of ``--input``, and every output
+file, from ``calibrate --out`` to a sweep's CSVs, goes through
+:func:`atomic_write`.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+#: names of the input states a run can start from (see ``sweep.input_state``)
+INPUT_SELECTORS = ("p_test", "random")
+
+
+def atomic_write(path: str, text: str):
+    """``text`` to the file ``path``, creating its directory; a reader sees the
+    old file or the whole new one, never a partial write."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

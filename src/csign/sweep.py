@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import circuit, fock
 from .errors import PhysicsValidationError
+from .runio import INPUT_SELECTORS, atomic_write
 
 AXIS_NAMES = ("t", "delta_over_g", "ly_over_g", "phs")
 AXIS_DOMAINS = {
@@ -31,7 +31,6 @@ AXIS_DOMAINS = {
     "ly_over_g": (0.0, 1.0),
     "phs": (0.0, 1.0),
 }
-INPUT_SELECTORS = ("p_test", "random")
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,8 @@ class Axis:
         """
         from decimal import Decimal  # only range axes need it; it adds ~3 ms to import
 
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise PhysicsValidationError(f"axis {name}: start, stop and step must be finite")
         if step <= 0:
             raise PhysicsValidationError(f"axis {name}: step must be positive")
         start_d, stop_d, step_d = (Decimal(repr(float(x))) for x in (start, stop, step))
@@ -309,32 +310,18 @@ def robustness_profile(t: float, delta_opt: float, base: circuit.SimParams,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_records_csv(records: Sequence[SweepRecord], path: str):
     """One row per record, atomically; columns are stable and deterministic."""
     lines = [",".join(SweepRecord.CSV_FIELDS)]
     lines += [r.csv_row() for r in records]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_optimal_csv(optimal: OptimalSet, path: str):
     """The strictly-improving (t, delta_over_g, error) table, atomically."""
     lines = ["t,delta_over_g,error"]
     lines += [f"{t!r},{d!r},{e!r}" for t, d, e in optimal.entries]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(spec: SweepSpec, path: str, engine_version: str,
@@ -345,4 +332,4 @@ def write_manifest(spec: SweepSpec, path: str, engine_version: str,
         "engine_version": engine_version,
         "outputs": [os.path.basename(p) for p in csv_paths],
     }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

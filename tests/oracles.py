@@ -168,6 +168,40 @@ def damped_cavity_population(t_abs, ly):
 
 
 # ---------------------------------------------------------------------------
+# The scalar calibration formulas in numpy arithmetic
+# ---------------------------------------------------------------------------
+
+def jc_return_amplitude_numpy(n_photons, params, t):
+    """``jc.jc_return_amplitude`` term by term, with numpy's exp, cos and sin
+    in place of cmath's and math's."""
+    if n_photons < 1:
+        return 1.0 + 0.0j
+    omega = math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * n_photons)
+    half = 0.5 * omega * t
+    return np.exp(-0.5j * params.delta * t) * (
+        np.cos(half) + 1j * (params.delta / omega) * np.sin(half))
+
+
+def candidate_table_numpy(params, horizon_t):
+    """``calibrate.candidate_table`` with the durations from ``np.arange`` and
+    the phases from ``np.angle``."""
+    two_pi = 2.0 * math.pi
+    unit = math.pi / (math.sqrt(2.0) * params.g)
+    horizon = horizon_t * unit
+    half_period = two_pi / math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * 2)
+    rows = []
+    for tau in np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period):
+        u1 = jc_return_amplitude_numpy(1, params, tau)
+        u2 = jc_return_amplitude_numpy(2, params, tau)
+        d = (float(np.angle(u2)) - 2.0 * float(np.angle(u1)) - math.pi) % two_pi
+        residual = max(math.sqrt(max(0.0, 1.0 - abs(u1) ** 2)),
+                       math.sqrt(max(0.0, 1.0 - abs(u2) ** 2)))
+        rows.append({"t": float(tau / unit), "delta_over_g": params.delta / params.g,
+                     "residual": float(min(d, two_pi - d) + residual)})
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Brute-force partial trace
 # ---------------------------------------------------------------------------
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csign import calibrate
-from csign.dynamics import PhysParams
+from csign import calibrate, jc
 from csign.errors import PhysicsValidationError
+from csign.jc import PhysParams
+
+from oracles import candidate_table_numpy, jc_return_amplitude_numpy
 
 G = 0.1
 T_UNIT = math.pi / (math.sqrt(2.0) * G)
@@ -123,7 +125,49 @@ class TestTables:
     def test_candidate_table_empty_horizon(self):
         assert calibrate.candidate_table(resonant(), horizon_t=0.0) == []
 
+    def test_candidate_table_length_is_bounded(self):
+        # at resonance a horizon of 2 t units holds one sign-flip candidate
+        assert len(calibrate.candidate_table(resonant(), 2.0 * calibrate.MAX_CANDIDATES)) == \
+            calibrate.MAX_CANDIDATES
+        for horizon_t in (2.0 * calibrate.MAX_CANDIDATES + 2.0, 1e300):
+            with pytest.raises(PhysicsValidationError, match="candidates"):
+                calibrate.candidate_table(resonant(), horizon_t)
+
     def test_detuning_table_roundtrip_column(self):
         rows = calibrate.detuning_table([Fraction(5, 7), Fraction(14, 15)])
         assert all(row["roundtrip_residual"] < 1e-12 for row in rows)
         assert rows[0]["r"] == "5/7"
+
+
+class TestNumpyOracle:
+    """The math/cmath formulas against the same formulas in numpy arithmetic."""
+
+    def test_return_amplitude_bit_identical(self, rng):
+        for _ in range(5000):
+            g = rng.uniform(0.01, 2.0)
+            p = PhysParams(g=g, delta=float(rng.choice([0.0, rng.uniform(-10, 10)])) * g)
+            n, t = int(rng.integers(0, 3)), rng.uniform(0.0, 3000.0)
+            new, old = jc.jc_return_amplitude(n, p, t), complex(jc_return_amplitude_numpy(n, p, t))
+            assert (new.real, new.imag) == (old.real, old.imag)
+
+    @pytest.mark.parametrize("g", [0.1, 0.37, 1.0])
+    def test_resonant_table_bit_identical(self, g):
+        p = PhysParams(g=g)
+        for horizon_t in (0.5, 1.0, 3.05, 20, 100.5, 1000.0):
+            assert calibrate.candidate_table(p, horizon_t) == candidate_table_numpy(p, horizon_t)
+
+    def test_detuned_residuals_within_4_ulp_of_pi(self, rng):
+        # libm's atan2 and numpy's arctan2 differ in the last bit on some
+        # arguments; the phase difference c - 2b carries that at most 4-fold
+        bound = 4 * math.ulp(math.pi)
+        moved = 0
+        for _ in range(100):
+            p = PhysParams(g=G, delta=rng.uniform(-10, 10) * G)
+            horizon_t = rng.uniform(1, 150)
+            new, old = calibrate.candidate_table(p, horizon_t), candidate_table_numpy(p, horizon_t)
+            assert [(r["t"], r["delta_over_g"]) for r in new] == \
+                [(r["t"], r["delta_over_g"]) for r in old]
+            for a, b in zip(new, old):
+                assert abs(a["residual"] - b["residual"]) <= bound
+                moved += a["residual"] != b["residual"]
+        assert moved  # the bound is exercised

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -216,6 +218,34 @@ class TestExitCodes:
         assert code == 3
         assert "t" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--horizon-t"], ["calibrate", "--delta-over-g"],
+        ["simulate", "--t"], ["simulate", "--delta-over-g"], ["simulate", "--ly-over-g"],
+    ], ids=" ".join)
+    def test_non_finite_flag_exits_3(self, capsys, argv, value):
+        command, flag = argv  # "--t=-inf": argparse reads a bare -inf as a flag
+        code, out, err = run_cli(capsys, command, f"{flag}={value}")
+        assert (code, out) == (3, "")
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("command,entry", [
+        ("simulate", "physics:\n  t: .nan"),
+        ("simulate", "physics:\n  g: .inf"),
+        ("sweep", "sweep:\n  axes:\n    - name: t\n      start: 1.0\n"
+                  "      stop: .inf\n      step: 0.5"),
+        ("calibrate", "calibrate:\n  horizon_t: .inf"),
+        ("calibrate", "physics:\n  delta_over_g: -.inf"),
+    ], ids=["t", "g", "axis-stop", "horizon_t", "delta_over_g"])
+    def test_non_finite_config_value_exits_3(self, capsys, tmp_path, command, entry):
+        cfg = tmp_path / "nonfinite.yaml"
+        cfg.write_text(entry + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--t", "150",
@@ -396,6 +426,54 @@ class TestCalibrateCommand:
         assert code == 0
         assert out == run_cli(capsys, "calibrate", "--horizon-t", "100.5")[1]
 
+    def test_endless_horizon_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "calibrate", "--horizon-t", "1e300")
+        assert (code, out) == (3, "")
+        assert "candidates" in err
+
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ratios", "one-half")
         assert code == 2
+
+
+def third_party_modules_after(*argv) -> list[str]:
+    """Which of numpy and yaml a fresh interpreter holds after ``import csign``
+    and, if ``argv`` is given, ``cli.main(argv)``."""
+    code = ("import contextlib, io, json, sys\n"
+            "import csign\n"
+            "if sys.argv[1:]:\n"
+            "    from csign import cli\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps([m for m in ('numpy', 'yaml') if m in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestStartupImports:
+    """Each command imports only what it runs: numpy only for simulate and
+    sweep, yaml only with --config."""
+
+    def test_package_import_is_bare(self):
+        assert third_party_modules_after() == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--horizon-t", "100.5"], ["--ratios", "5/7", "14/15"], ["--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_calibrate_loads_neither(self, tmp_path, argv):
+        argv = [arg.format(out=tmp_path / "table.csv") for arg in argv]
+        assert third_party_modules_after("calibrate", *argv) == []
+
+    def test_config_loads_yaml_only(self, tmp_path):
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text("calibrate:\n  horizon_t: 10.0\n")
+        assert third_party_modules_after("calibrate", "--config", str(cfg)) == ["yaml"]
+
+    def test_simulate_loads_yaml_only_with_config(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("physics:\n  t: 1.0\n")
+        assert third_party_modules_after("simulate", "--t", "1") == ["numpy"]
+        assert third_party_modules_after("simulate", "--config", str(cfg)) == ["numpy", "yaml"]

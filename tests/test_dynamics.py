@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from csign import dynamics, fock, lindblad
-from csign.dynamics import PhysParams
+from csign import dynamics, fock, jc, lindblad
 from csign.errors import PhysicsValidationError
+from csign.jc import PhysParams
 
 from oracles import array_hamiltonian_oracle
 
@@ -32,17 +32,17 @@ class TestPhysParams:
 
 class TestRabiFrequency:
     def test_resonant_ground_block(self):
-        assert dynamics.rabi_frequency(0, params_for()) == pytest.approx(2.0)
+        assert jc.rabi_frequency(0, params_for()) == pytest.approx(2.0)
 
     def test_resonant_second_block(self):
-        assert dynamics.rabi_frequency(1, params_for()) == pytest.approx(2 * math.sqrt(2))
+        assert jc.rabi_frequency(1, params_for()) == pytest.approx(2 * math.sqrt(2))
 
     def test_three_four_five(self):
-        assert dynamics.rabi_frequency(0, params_for(g=2.0, delta=3.0)) == pytest.approx(5.0)
+        assert jc.rabi_frequency(0, params_for(g=2.0, delta=3.0)) == pytest.approx(5.0)
 
     def test_rejects_negative_block(self):
         with pytest.raises(PhysicsValidationError):
-            dynamics.rabi_frequency(-1, params_for())
+            jc.rabi_frequency(-1, params_for())
 
 
 class TestBlockEigensystem:
@@ -120,7 +120,7 @@ class TestAnalyticEvolve:
 
 class TestReturnAmplitude:
     def test_zero_photons_trivial(self):
-        assert dynamics.jc_return_amplitude(0, params_for(delta=1.3), 7.7) == 1.0
+        assert jc.jc_return_amplitude(0, params_for(delta=1.3), 7.7) == 1.0
 
     def test_matches_analytic_evolve_relative_phase(self, rng):
         # the return amplitude is the n-photon amplitude relative to the
@@ -134,7 +134,7 @@ class TestReturnAmplitude:
                 amps[n] = 1 / math.sqrt(2)
                 out = dynamics.analytic_evolve(tuple(amps), t, p)
                 relative = out[idx] / out[0]
-                assert dynamics.jc_return_amplitude(n, p, t) == pytest.approx(
+                assert jc.jc_return_amplitude(n, p, t) == pytest.approx(
                     relative, abs=1e-12)
 
 
