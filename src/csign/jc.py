@@ -2,10 +2,10 @@
 
 One two-level atom exchanging excitation with a single cavity mode under the
 rotating-wave coupling splits into invariant two-dimensional blocks spanned
-by (|g,n+1>, |e,n>).  The generalized Rabi frequency of a block and the
-return amplitude of an n-photon transit are closed forms in ``math`` and
-``cmath``, so calibration runs without numpy; ``dynamics`` builds the matrix
-forms on top of them.
+by (|g,n+1>, |e,n>).  The Rabi frequency of a block, the return amplitude
+of an n-photon transit, the shifter angle and the lossless gate error are
+closed forms in ``math`` and ``cmath``, so calibration runs without numpy;
+``dynamics`` and ``circuit`` build on them.
 
 Sign convention: the detuning is ``delta = omega_a - omega_c`` throughout.
 """
@@ -43,6 +43,10 @@ class PhysParams:
             raise PhysicsValidationError(f"coupling g must be positive, got {self.g}")
         if self.omega_c <= 0:
             raise PhysicsValidationError(f"omega_c must be positive, got {self.omega_c}")
+        # the Rabi frequency of the largest block, n = 1, must not overflow
+        if not math.isfinite(self.delta * self.delta + 8.0 * self.g * self.g):
+            raise PhysicsValidationError(
+                f"delta {self.delta} and g {self.g} overflow the Rabi frequency")
 
     @property
     def omega_a(self) -> float:
@@ -60,8 +64,7 @@ def jc_return_amplitude(n_photons: int, params: PhysParams, t: float) -> complex
     """Amplitude for n photons (atom in g) to survive the cavity transit.
 
     Measured relative to the empty-cavity sector, i.e. in the rotating frame
-    where the zero-photon amplitude stays exactly 1.  Used to pick the
-    compensating phase-shifter angle and to rank calibration candidates.
+    where the zero-photon amplitude stays exactly 1.
     """
     if n_photons < 1:
         return 1.0 + 0.0j
@@ -71,3 +74,24 @@ def jc_return_amplitude(n_photons: int, params: PhysParams, t: float) -> complex
     return cmath.exp(-0.5j * params.delta * t) * (
         math.cos(half) + 1j * (params.delta / omega) * math.sin(half)
     )
+
+
+def compensating_phase(params: PhysParams, t: float) -> float:
+    """Shifter angle phi = -arg(u1) that brings the one-photon component of a
+    transit of duration t back in phase (the two-photon one turns by 2*phi);
+    0 when |u1| < 1e-12, where the phase is undefined."""
+    u1 = jc_return_amplitude(1, params, t)
+    return 0.0 if abs(u1) < 1e-12 else -cmath.phase(u1)
+
+
+def lossless_gate_error(params: PhysParams, t: float) -> float:
+    """Gate error of the array on ``p_test`` without leak, shifter on.
+
+    The state stays pure, so the error is sqrt(1 - |overlap|^2); following
+    the four logical branches through splitters, cavities and shifter gives
+    the overlap (1 + 2 u1' - u2') / 4 with u_n' = e^{i n phi} u_n.
+    """
+    shift = cmath.exp(1j * compensating_phase(params, t))
+    overlap = 1.0 + 2.0 * shift * jc_return_amplitude(1, params, t) \
+        - shift * shift * jc_return_amplitude(2, params, t)
+    return math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2 / 16.0))

@@ -184,21 +184,14 @@ def jc_return_amplitude_numpy(n_photons, params, t):
 
 def candidate_table_numpy(params, horizon_t):
     """``calibrate.candidate_table`` with the durations from ``np.arange`` and
-    the phases from ``np.angle``."""
-    two_pi = 2.0 * math.pi
+    the errors from :func:`csign_zero_leak_error`."""
     unit = math.pi / (math.sqrt(2.0) * params.g)
     horizon = horizon_t * unit
-    half_period = two_pi / math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * 2)
-    rows = []
-    for tau in np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period):
-        u1 = jc_return_amplitude_numpy(1, params, tau)
-        u2 = jc_return_amplitude_numpy(2, params, tau)
-        d = (float(np.angle(u2)) - 2.0 * float(np.angle(u1)) - math.pi) % two_pi
-        residual = max(math.sqrt(max(0.0, 1.0 - abs(u1) ** 2)),
-                       math.sqrt(max(0.0, 1.0 - abs(u2) ** 2)))
-        rows.append({"t": float(tau / unit), "delta_over_g": params.delta / params.g,
-                     "residual": float(min(d, two_pi - d) + residual)})
-    return rows
+    half_period = 2.0 * math.pi / math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * 2)
+    d = params.delta / params.g
+    return [{"t": float(tau / unit), "delta_over_g": d,
+             "residual": csign_zero_leak_error(float(tau / unit), d, 1, params.g)}
+            for tau in np.arange(half_period, horizon + 1e-12 * horizon, 2.0 * half_period)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csign import circuit, fock, lindblad
+from csign import circuit, fock, jc, lindblad
 from csign.circuit import SimParams
 from csign.dynamics import build_array_hamiltonian
 from csign.errors import PhysicsValidationError
@@ -264,7 +264,7 @@ class TestRunArray:
         res = evolve(fock.DensityMatrix(space, mat, check=False), h, [],
                      params.total_time, FAST)
         mat = np.array(res.rho.matrix)
-        phi = circuit.compensating_phase(params)
+        phi = jc.compensating_phase(params.phys, params.total_time)
         shift = circuit.phase_shifter_unitary("x1", phi, space) @ \
             circuit.phase_shifter_unitary("y1", phi, space)
         mat = shift @ mat @ shift.conj().T
@@ -403,7 +403,7 @@ class TestSimParams:
     def test_compensating_phase_zero_leak_resonant(self):
         # at resonance the one-photon amplitude is real: the compensator is
         # 0 or pi depending on its sign
-        phi3 = circuit.compensating_phase(SimParams(t=3.0))
-        phi7 = circuit.compensating_phase(SimParams(t=7.0))
+        phi3, phi7 = (jc.compensating_phase(p.phys, p.total_time)
+                      for p in (SimParams(t=3.0), SimParams(t=7.0)))
         assert phi3 == pytest.approx(0.0, abs=1e-12)
         assert abs(phi7) == pytest.approx(math.pi, abs=1e-12)

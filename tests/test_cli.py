@@ -214,9 +214,14 @@ class TestExitCodes:
         assert code == 2
 
     def test_physics_validation_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--t", "-1")
-        assert code == 3
-        assert "t" in err
+        for argv, name in (
+                (["simulate", "--t", "-1"], "t"),
+                # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
+                (["calibrate", "--horizon-t", "10", "--delta-over-g", "1e200"], "delta"),
+                (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert name in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [

@@ -29,6 +29,14 @@ class TestPhysParams:
         with pytest.raises(PhysicsValidationError):
             PhysParams(g=0.0)
 
+    def test_rejects_overflowing_rabi_frequency(self):
+        # finite inputs whose squares overflow; just below, the largest
+        # block's Rabi frequency stays finite
+        for g, delta in ((0.1, 1e200), (0.1, -1e155), (1e160, 0.0)):
+            with pytest.raises(PhysicsValidationError, match="overflow"):
+                PhysParams(g=g, omega_c=1.0, delta=delta)
+        assert math.isfinite(jc.rabi_frequency(1, PhysParams(g=0.1, delta=1e153)))
+
 
 class TestRabiFrequency:
     def test_resonant_ground_block(self):
