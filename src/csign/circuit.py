@@ -13,10 +13,9 @@ The reported error is the operator-norm distance between the final state and
 the ideal C-Sign output, evaluated on the full basis with the atoms still
 attached (ideal output: atoms back in the ground state).  Residual
 atom-photon entanglement therefore counts as a first-order error, which is
-the decoherence mechanism this model is about.  The photonic reduced state
-is returned alongside.  A lossless run on ``p_test`` with the shifter on has
-the closed-form error ``jc.lossless_gate_error``, by which calibration ranks
-its candidate durations.
+the decoherence mechanism this model is about.  A lossless run on ``p_test``
+with the shifter on has the closed-form error ``jc.lossless_gate_error``, by
+which calibration ranks its candidate durations.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class SimParams:
 
 @dataclass
 class GateReport:
-    """Outcome of one run: photonic output, error, and diagnostics.
+    """Outcome of one run: the error and the diagnostics that ``to_json`` reports.
 
     ``propagation`` names the cavity-stage path that ``lindblad.evolve`` took
     ("closed_form" or "stepped", or "ideal_ns" for the ideal-sign self-check)
@@ -93,7 +92,6 @@ class GateReport:
 
     params: SimParams
     error: float
-    rho_out: fock.DensityMatrix
     trace_drift: float
     atom_residual: float
     phase_shift: float
@@ -211,7 +209,7 @@ def p_test(space: fock.StateSpace) -> fock.DensityMatrix:
     vec = np.zeros(space.dim, dtype=complex)
     for idx in fock.computational_indices(space):
         vec[idx] = 0.5
-    return fock.PureState(space, vec).density_matrix()
+    return fock.DensityMatrix(space, np.outer(vec, vec.conj()))
 
 
 def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
@@ -230,13 +228,12 @@ def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
     return fock.DensityMatrix(space, mat)
 
 
-def error_rate(rho_expected, rho_result) -> float:
-    """Largest absolute eigenvalue of the Hermitian difference."""
-    a = rho_expected.matrix if isinstance(rho_expected, fock.DensityMatrix) else np.asarray(rho_expected)
-    b = rho_result.matrix if isinstance(rho_result, fock.DensityMatrix) else np.asarray(rho_result)
-    if a.shape != b.shape:
-        raise PhysicsValidationError(f"dimension mismatch {a.shape} vs {b.shape}")
-    diff = a - b
+def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray) -> float:
+    """Largest absolute eigenvalue of the Hermitian difference of two matrices."""
+    if rho_expected.shape != rho_result.shape:
+        raise PhysicsValidationError(
+            f"dimension mismatch {rho_expected.shape} vs {rho_result.shape}")
+    diff = rho_expected - rho_result
     herm = np.max(np.abs(diff - diff.conj().T))
     if herm > 1e-9:
         raise PhysicsValidationError(f"difference non-Hermitian by {herm:.3e}")
@@ -288,7 +285,7 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
         channels = leak_channels(space, params.ly_over_g * params.g)
         result = evolve(fock.DensityMatrix(space, mat, check=False), h, channels,
                         params.total_time, params.stepper)
-        mat = np.array(result.rho.matrix)
+        mat = result.rho.matrix
         trace_drift, n_steps, propagation = \
             result.trace_drift, result.n_steps, result.propagation
         if params.phs:
@@ -301,10 +298,7 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
 
     error = error_rate(ideal_full, mat)
     atom_residual = float(np.real(np.diag(mat)[_excited(space)].sum()))
-    rho_full = fock.DensityMatrix(space, 0.5 * (mat + mat.conj().T), check=False)
-    rho_out = fock.partial_trace_atoms(rho_full)
     wall_ms = (time.perf_counter() - started) * 1e3
-    return GateReport(params=params, error=error, rho_out=rho_out,
-                      trace_drift=trace_drift, atom_residual=atom_residual,
-                      phase_shift=phi, dim=space.dim, wall_ms=wall_ms,
-                      propagation=propagation, n_steps=n_steps)
+    return GateReport(params=params, error=error, trace_drift=trace_drift,
+                      atom_residual=atom_residual, phase_shift=phi, dim=space.dim,
+                      wall_ms=wall_ms, propagation=propagation, n_steps=n_steps)

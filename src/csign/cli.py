@@ -35,7 +35,7 @@ CONFIG_SCHEMA = {
     "stepper": {"dt_steps": int},
     "sweep": {"axes": list, "input": str, "seed": int},
     "calibrate": {"horizon_t": float, "ratios": list},
-    "output": {"dir": str, "csv_name": str},
+    "output": {"dir": str},
 }
 
 #: the config keys ``calibrate`` reads; it rejects every other key
@@ -175,10 +175,9 @@ def cmd_sweep(args) -> int:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     output = config.get("output", {})
     out_dir = args.out if args.out is not None else output.get("dir", "sweep_out")
-    csv_name = output.get("csv_name", "sweep.csv")
 
     records = sweep.run_sweep(spec, workers=workers)
-    csv_path = os.path.join(out_dir, csv_name)
+    csv_path = os.path.join(out_dir, "sweep.csv")
     sweep.write_records_csv(records, csv_path)
     outputs = [csv_path]
     if any(axis.name == "t" for axis in spec.axes):

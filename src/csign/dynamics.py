@@ -2,11 +2,12 @@
 
 One two-level atom exchanging excitation with a single cavity mode under the
 rotating-wave coupling splits into invariant two-dimensional blocks spanned
-by (|g,n+1>, |e,n>).  Everything needed downstream follows from those blocks:
-the dressed-state mixing angle, the exact single-cavity evolution used as an
-analytic oracle, and the array Hamiltonian.  The scalar formulas (the
-generalized Rabi frequency and the return amplitude that calibrates the
-compensating phase shifter) live in :mod:`csign.jc`, which needs no numpy.
+by (|g,n+1>, |e,n>).  This module holds the exact single-cavity evolution
+over those blocks, an analytic oracle for the numeric propagator, with its
+5x5 Hamiltonian, and the Hamiltonian of the whole array.  The scalar
+formulas (the generalized Rabi frequency and the return amplitude that
+calibrates the compensating phase shifter) live in :mod:`csign.jc`, which
+needs no numpy.
 
 Sign convention: the detuning is ``delta = omega_a - omega_c`` throughout.
 """
@@ -14,7 +15,6 @@ Sign convention: the detuning is ``delta = omega_a - omega_c`` throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,34 +25,6 @@ from .jc import PhysParams, rabi_frequency
 
 #: basis order of the single-cavity helpers
 JC_BASIS = ("g0", "g1", "g2", "e0", "e1")
-
-
-@dataclass(frozen=True)
-class DressedState:
-    """Eigen-data of one invariant block (|g,n+1>, |e,n>).
-
-    The dressed states are |+,n> = cos(theta)|g,n+1> + sin(theta)|e,n> and
-    |-,n> = -sin(theta)|g,n+1> + cos(theta)|e,n>.
-    """
-
-    n: int
-    theta: float
-    eps_plus: float
-    eps_minus: float
-
-
-def jc_block_eigensystem(n: int, params: PhysParams) -> DressedState:
-    """Eigenvalues (n+1/2)omega_c +/- Omega_n/2 and the dressed mixing angle.
-
-    The mixing angle satisfies tan(theta_n) = 2 sqrt(n+1) g / (Omega_n - delta)
-    and lies in (0, pi/2) for any g > 0.
-    """
-    omega_n = rabi_frequency(n, params)
-    base = (n + 0.5) * params.omega_c
-    theta = math.atan2(2.0 * math.sqrt(n + 1) * params.g, omega_n - params.delta)
-    return DressedState(n=n, theta=theta,
-                        eps_plus=base + 0.5 * omega_n,
-                        eps_minus=base - 0.5 * omega_n)
 
 
 def analytic_evolve(amplitudes, t: float, params: PhysParams) -> np.ndarray:
@@ -76,7 +48,8 @@ def analytic_evolve(amplitudes, t: float, params: PhysParams) -> np.ndarray:
     for n_photons, amp, g_idx, e_idx in ((1, a1, 1, 3), (2, a2, 2, 4)):
         block = n_photons - 1
         omega = rabi_frequency(block, params)
-        theta = jc_block_eigensystem(block, params).theta
+        # dressed mixing angle: tan(theta) = 2 sqrt(n+1) g / (Omega_n - delta)
+        theta = math.atan2(2.0 * math.sqrt(block + 1) * params.g, omega - params.delta)
         half = 0.5 * omega * t
         out[g_idx] = amp * (np.cos(half) - 1j * np.cos(2 * theta) * np.sin(half))
         out[e_idx] = amp * (-1j * np.sin(2 * theta) * np.sin(half))
@@ -84,25 +57,13 @@ def analytic_evolve(amplitudes, t: float, params: PhysParams) -> np.ndarray:
 
 
 def build_jc_hamiltonian(params: PhysParams, frame: str = "interaction") -> np.ndarray:
-    """5x5 single-cavity Hamiltonian over ``JC_BASIS``.
-
-    ``interaction``: the frame of :func:`analytic_evolve` (mode energy removed,
-    atom carries +/- delta/2).  ``lab``: full mode and atom energies included.
-    """
-    h = np.zeros((5, 5), dtype=complex)
-    idx = {name: i for i, name in enumerate(JC_BASIS)}
-    if frame == "interaction":
-        diag = {"g0": -0.5 * params.delta, "g1": -0.5 * params.delta,
-                "g2": -0.5 * params.delta, "e0": 0.5 * params.delta,
-                "e1": 0.5 * params.delta}
-    elif frame == "lab":
-        wc, wa = params.omega_c, params.omega_a
-        diag = {"g0": -0.5 * wa, "g1": wc - 0.5 * wa, "g2": 2 * wc - 0.5 * wa,
-                "e0": 0.5 * wa, "e1": wc + 0.5 * wa}
-    else:
+    """5x5 single-cavity Hamiltonian over ``JC_BASIS`` in the frame of
+    :func:`analytic_evolve`: mode energy removed, atom carries +/- delta/2.
+    ``frame`` admits only ``"interaction"``."""
+    if frame != "interaction":
         raise PhysicsValidationError(f"unknown frame {frame!r}")
-    for name, value in diag.items():
-        h[idx[name], idx[name]] = value
+    h = np.diag([-0.5 * params.delta] * 3 + [0.5 * params.delta] * 2).astype(complex)
+    idx = {name: i for i, name in enumerate(JC_BASIS)}
     for g_name, e_name, n in (("g1", "e0", 0), ("g2", "e1", 1)):
         h[idx[g_name], idx[e_name]] = h[idx[e_name], idx[g_name]] = math.sqrt(n + 1) * params.g
     return h

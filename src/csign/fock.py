@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ G, E = 0, 1
 MAX_TOTAL_EXCITATION = 2
 
 HERMITICITY_TOL = 1e-12
-NORM_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 TRACE_TOL = 1e-12
 
@@ -79,32 +78,12 @@ class BasisState:
     def total_excitation(self) -> int:
         return self.photons + self.a1 + self.a2
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.n_x1, self.n_x2, self.n_y1, self.n_y2, self.a1, self.a2)
-
     def replace_rails(self, **updates: int) -> "BasisState":
-        values = dict(zip(RAILS, self.occupations))
-        for rail, n in updates.items():
-            if rail not in values:
-                raise ValueError(f"unknown rail {rail!r}")
-            values[rail] = n
-        return BasisState(values["x1"], values["x2"], values["y1"], values["y2"], self.a1, self.a2)
-
-    def replace_rail(self, rail: str, n: int) -> "BasisState":
-        return self.replace_rails(**{rail: n})
-
-    def replace_atom(self, atom: str, level: int) -> "BasisState":
-        if atom == "a1":
-            return BasisState(*self.occupations, level, self.a2)
-        if atom == "a2":
-            return BasisState(*self.occupations, self.a1, level)
-        raise ValueError(f"unknown atom {atom!r}")
+        """This state with the named rails (``x1=...``) set to new occupations."""
+        return replace(self, **{f"n_{rail}": n for rail, n in updates.items()})
 
     def rail_occupation(self, rail: str) -> int:
         return self.occupations[RAILS.index(rail)]
-
-    def atom_level(self, atom: str) -> int:
-        return self.a1 if atom == "a1" else self.a2
 
     def __str__(self) -> str:
         ge = {G: "g", E: "e"}
@@ -153,24 +132,6 @@ class StateSpace(_Space):
 
 class PhotonSpace(_Space):
     """Photonic occupations only, the target basis of the atom partial trace."""
-
-
-class PureState:
-    """Unit-norm complex amplitude vector over a state space."""
-
-    def __init__(self, space, vector: np.ndarray):
-        vector = np.asarray(vector, dtype=complex)
-        if vector.shape != (space.dim,):
-            raise PhysicsValidationError(f"vector shape {vector.shape} != ({space.dim},)")
-        norm = np.linalg.norm(vector)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise PhysicsValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        self.space = space
-        self.vector = vector
-        self.vector.flags.writeable = False
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, np.outer(self.vector, self.vector.conj()))
 
 
 class DensityMatrix:
@@ -253,7 +214,7 @@ def annihilation_matrix(rail: str, space: StateSpace) -> np.ndarray:
     for i, s in enumerate(space.states):
         n = s.rail_occupation(rail)
         if n > 0:
-            mat[space.index_of(s.replace_rail(rail, n - 1)), i] = math.sqrt(n)
+            mat[space.index_of(s.replace_rails(**{rail: n - 1})), i] = math.sqrt(n)
     return frozen(mat)
 
 
@@ -264,8 +225,8 @@ def atom_lowering_matrix(atom: str, space: StateSpace) -> np.ndarray:
         raise PhysicsValidationError(f"unknown atom {atom!r}")
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for i, s in enumerate(space.states):
-        if s.atom_level(atom) == E:
-            mat[space.index_of(s.replace_atom(atom, G)), i] = 1.0
+        if getattr(s, atom) == E:
+            mat[space.index_of(replace(s, **{atom: G})), i] = 1.0
     return frozen(mat)
 
 

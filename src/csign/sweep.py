@@ -90,12 +90,12 @@ class SweepSpec:
 
     def grid(self) -> list[dict]:
         """Grid points in row-major axis order; empty axes give no points."""
+        if not self.axes:
+            return []
         points = [{}]
         for axis in self.axes:
             points = [dict(p, **{axis.name: v}) for p in points for v in axis.values]
-        if not self.axes:
-            return []
-        return points if all(a.values for a in self.axes) else []
+        return points
 
     def as_dict(self) -> dict:
         return {

@@ -32,8 +32,7 @@ def clear_caches():
 
 def report_bits(report):
     return (repr(report.error), repr(report.trace_drift), repr(report.atom_residual),
-            repr(report.phase_shift), report.propagation, report.n_steps,
-            report.rho_out.matrix.tobytes())
+            repr(report.phase_shift), report.propagation, report.n_steps)
 
 
 def random_points(rng, count):

@@ -146,6 +146,7 @@ class TestExitCodes:
         pytest.param("stepper", "trace_tol", "0.001", id="trace_tol-0.001"),
         pytest.param("stepper", "frame", "lab", id="frame-lab"),
         pytest.param("physics", "atom_decay_over_g", "0.1", id="atom_decay_over_g-0.1"),
+        pytest.param("output", "csv_name", "x.csv", id="csv_name-x.csv"),
     ])
     def test_removed_stepper_key_exits_2_and_names_key(self, capsys, tmp_path,
                                                        section, key, value):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -54,46 +55,27 @@ class TestRabiFrequency:
 
 
 class TestBlockEigensystem:
-    def test_resonant_splitting(self):
-        d = dynamics.jc_block_eigensystem(0, params_for())
-        assert d.theta == pytest.approx(math.pi / 4)
-        assert d.eps_plus == pytest.approx(0.5 * 10.0 + 1.0)
-        assert d.eps_minus == pytest.approx(0.5 * 10.0 - 1.0)
-
-    def test_second_block_values(self):
-        p = params_for(delta=0.7)
-        d = dynamics.jc_block_eigensystem(1, p)
-        omega = math.sqrt(0.7 ** 2 + 8.0)
-        assert d.eps_plus == pytest.approx(1.5 * 10.0 + omega / 2)
-        assert d.eps_minus == pytest.approx(1.5 * 10.0 - omega / 2)
-
-    def test_ground_energy(self):
-        p = params_for(delta=0.4)
-        # the uncoupled |g,0> sits at -omega_c/2 - delta/2 in the lab frame
-        h = dynamics.build_jc_hamiltonian(p, frame="lab")
-        assert h[dynamics.JC_BASIS.index("g0"), dynamics.JC_BASIS.index("g0")] == \
-            pytest.approx(-5.0 - 0.2)
+    """Each invariant block (|g,n+1>, |e,n>) of the interaction-frame
+    Hamiltonian, diagonalized numerically, against the Rabi frequency and the
+    dressed mixing angle that :func:`dynamics.analytic_evolve` uses."""
 
     def test_matches_numeric_2x2_diagonalization(self, rng):
-        # oracle: eigh of the explicit block matrix
         for _ in range(200):
-            g = rng.uniform(0.05, 3.0)
-            delta = rng.uniform(-5.0, 5.0)
-            omega_c = rng.uniform(1.0, 50.0)
-            n = int(rng.integers(0, 3))
-            p = params_for(g=g, delta=delta, omega_c=omega_c)
-            coupling = math.sqrt(n + 1) * g
-            block = np.array([
-                [(n + 0.5) * omega_c - delta / 2, coupling],
-                [coupling, (n + 0.5) * omega_c + delta / 2],
-            ])
+            p = params_for(g=rng.uniform(0.05, 3.0), delta=rng.uniform(-5.0, 5.0))
+            n = int(rng.integers(0, 2))
+            rows = [dynamics.JC_BASIS.index(f"g{n + 1}"), dynamics.JC_BASIS.index(f"e{n}")]
+            block = dynamics.build_jc_hamiltonian(p)[np.ix_(rows, rows)]
             evals, evecs = np.linalg.eigh(block)
-            d = dynamics.jc_block_eigensystem(n, p)
-            assert d.eps_minus == pytest.approx(evals[0], abs=1e-12 * omega_c)
-            assert d.eps_plus == pytest.approx(evals[1], abs=1e-12 * omega_c)
-            plus = evecs[:, 1] * np.sign(evecs[0, 1])
-            assert np.allclose([math.cos(d.theta), math.sin(d.theta)], plus, atol=1e-10)
-            assert 0.0 < d.theta < math.pi / 2
+            omega = jc.rabi_frequency(n, p)
+            assert np.allclose(evals, [-omega / 2, omega / 2], atol=1e-12 * omega)
+            cos_t, sin_t = evecs[:, 1] * np.sign(evecs[0, 1])
+            assert 0.0 < sin_t and 0.0 < cos_t  # theta in (0, pi/2)
+            # half a Rabi cycle: |g,n+1> -> -i cos(2 theta) |g,n+1> - i sin(2 theta) |e,n>
+            amps = [0.0, 0.0, 0.0]
+            amps[n + 1] = 1.0
+            out = dynamics.analytic_evolve(tuple(amps), math.pi / omega, p)
+            expected = -1j * np.array([cos_t ** 2 - sin_t ** 2, 2 * sin_t * cos_t])
+            assert np.allclose(out[rows], expected, atol=1e-10)
 
 
 class TestAnalyticEvolve:
@@ -148,26 +130,21 @@ class TestReturnAmplitude:
 
 class TestSingleCavityHamiltonian:
     def test_block_structure_exact(self):
-        # cross-block entries are structural zeros in both frames
-        for frame in ("interaction", "lab"):
-            h = dynamics.build_jc_hamiltonian(params_for(delta=0.3), frame=frame)
-            blocks = {("g0",): 0, ("g1", "e0"): 1, ("g2", "e1"): 2}
-            names = list(dynamics.JC_BASIS)
-            for i, a in enumerate(names):
-                for j, b in enumerate(names):
-                    same_block = any(a in grp and b in grp for grp in blocks)
-                    if not same_block:
-                        assert h[i, j] == 0.0
+        # cross-block entries are structural zeros
+        h = dynamics.build_jc_hamiltonian(params_for(delta=0.3))
+        blocks = {("g0",): 0, ("g1", "e0"): 1, ("g2", "e1"): 2}
+        names = list(dynamics.JC_BASIS)
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                same_block = any(a in grp and b in grp for grp in blocks)
+                if not same_block:
+                    assert h[i, j] == 0.0
 
-    def test_lab_eigenvalues_match_blocks(self):
-        p = params_for(delta=-0.8)
-        h = dynamics.build_jc_hamiltonian(p, frame="lab")
-        evals = np.sort(np.linalg.eigvalsh(h))
-        expected = [-0.5 * p.omega_c - 0.5 * p.delta]  # uncoupled |g,0>
-        for n in (0, 1):
-            d = dynamics.jc_block_eigensystem(n, p)
-            expected += [d.eps_minus, d.eps_plus]
-        assert np.allclose(evals, np.sort(expected), atol=1e-12)
+    def test_only_interaction_frame(self):
+        # the lab frame is not built: only the interaction frame is checked
+        # against the closed form
+        with pytest.raises(PhysicsValidationError):
+            dynamics.build_jc_hamiltonian(params_for(), frame="lab")
 
 
 class TestArrayHamiltonian:
@@ -194,7 +171,7 @@ class TestArrayHamiltonian:
                            omega_c=rng.uniform(1, 40))
             h = dynamics.build_array_hamiltonian(space, p)
             oracle = array_hamiltonian_oracle(
-                tuple(s.as_tuple() for s in space.states), p.g, p.omega_c, p.omega_a)
+                tuple(astuple(s) for s in space.states), p.g, p.omega_c, p.omega_a)
             assert np.allclose(h, oracle, atol=1e-12)
 
     def test_commutes_with_total_excitation(self, space, rng):

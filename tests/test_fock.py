@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestEnumeration:
     def test_full_closure_dimension_is_23(self, space):
         # the oracle filters raw integer tuples by the model's rules, not BasisState
         expected = enumerate_reachable_oracle()
-        got = {s.as_tuple() for s in space.states}
+        got = {astuple(s) for s in space.states}
         assert got == expected
         assert space.dim == 23
 
@@ -86,7 +88,7 @@ class TestReachability:
         stage = _reach(post_bs1, (h != 0) | np.any(np.array(jumps) != 0, axis=0))
         post_bs2 = splitter @ stage
         assert (seeds | stage | post_bs2).all()
-        assert {space.states[i].as_tuple() for i in np.flatnonzero(stage)} == \
+        assert {astuple(space.states[i]) for i in np.flatnonzero(stage)} == \
             cavity_stage_reachable_oracle()
 
     def test_exchange_is_untruncated_on_cavity_stage(self, space):
@@ -97,7 +99,7 @@ class TestReachability:
         exchange = h - np.diag(np.diag(h))
         stage = cavity_stage_reachable_oracle()
         for i, s in enumerate(space.states):
-            if s.as_tuple() not in stage:
+            if astuple(s) not in stage:
                 continue
             expected = sum(n if a == fock.G else n + 1
                            for n, a in ((s.n_x1, s.a1), (s.n_y1, s.a2)))
@@ -149,7 +151,7 @@ class TestLadderOperators:
         for atom in fock.ATOMS:
             sig = fock.atom_lowering_matrix(atom, space)
             proj = sig.conj().T @ sig
-            expected = [float(s.atom_level(atom) == fock.E) for s in space.states]
+            expected = [float(getattr(s, atom) == fock.E) for s in space.states]
             assert np.allclose(np.diag(proj).real, expected, atol=1e-12)
             assert np.allclose(proj, np.diag(np.diag(proj)), atol=1e-12)
 
@@ -178,9 +180,9 @@ class TestDualRail:
         (0, 1, (0, 1, 1, 0, 0, 0)),
     ])
     def test_encoding(self, space, qx, qy, expected):
-        assert fock.computational_seed(qx, qy).as_tuple() == expected
+        assert astuple(fock.computational_seed(qx, qy)) == expected
         idx = fock.computational_indices(space)[2 * qx + qy]
-        assert space.states[idx].as_tuple() == expected
+        assert astuple(space.states[idx]) == expected
 
     def test_rejects_bad_bits(self, space):
         with pytest.raises(PhysicsValidationError):
@@ -194,12 +196,6 @@ class TestDualRail:
 
 
 class TestStateWrappers:
-    def test_pure_state_norm_enforced(self, space):
-        vec = np.zeros(space.dim)
-        vec[0] = 0.5
-        with pytest.raises(PhysicsValidationError):
-            fock.PureState(space, vec)
-
     def test_density_matrix_validation(self, space):
         bad = np.zeros((space.dim, space.dim), dtype=complex)
         bad[0, 1] = 1.0
@@ -218,7 +214,7 @@ class TestPartialTrace:
         # photon on x2 and y2, atoms ground: reduced state is the projector
         vec = np.zeros(space.dim, dtype=complex)
         vec[space.index_of(fock.BasisState(0, 1, 0, 1, 0, 0))] = 1.0
-        rho = fock.PureState(space, vec).density_matrix()
+        rho = fock.DensityMatrix(space, np.outer(vec, vec.conj()))
         red = fock.partial_trace_atoms(rho)
         k = red.space.index_of((0, 1, 0, 1))
         assert red.matrix[k, k] == pytest.approx(1.0)
@@ -229,7 +225,7 @@ class TestPartialTrace:
         vec = np.zeros(space.dim, dtype=complex)
         vec[space.index_of(fock.BasisState(1, 0, 0, 0, 0, 0))] = 1 / np.sqrt(2)
         vec[space.index_of(fock.BasisState(0, 0, 0, 0, 1, 0))] = 1 / np.sqrt(2)
-        red = fock.partial_trace_atoms(fock.PureState(space, vec).density_matrix())
+        red = fock.partial_trace_atoms(fock.DensityMatrix(space, np.outer(vec, vec.conj())))
         i1 = red.space.index_of((1, 0, 0, 0))
         i0 = red.space.index_of((0, 0, 0, 0))
         assert red.matrix[i1, i1] == pytest.approx(0.5, abs=1e-12)
@@ -237,7 +233,7 @@ class TestPartialTrace:
         assert red.matrix[i1, i0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_bruteforce_on_random_hermitian(self, space, rng):
-        tuples = tuple(s.as_tuple() for s in space.states)
+        tuples = tuple(astuple(s) for s in space.states)
         for _ in range(25):
             mat = random_hermitian(rng, space.dim, trace_one=True)
             rho = fock.DensityMatrix(space, mat, check=False)

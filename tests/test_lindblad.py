@@ -368,7 +368,7 @@ class TestExactMasterEquation:
             stepped = lindblad.evolve(stage_in, h, channels, params.total_time,
                                       StepperConfig(dt_steps=n_steps))
             assert (stepped.propagation, stepped.n_steps) == ("stepped", n_steps)
-            gaps.append(circuit.error_rate(exact, stepped.rho))
+            gaps.append(circuit.error_rate(exact, stepped.rho.matrix))
         assert all(1.9 <= a / b <= 2.1 for a, b in zip(gaps[:2], gaps[1:3])), gaps
         assert gaps[3] <= 1e-7, gaps
 
