@@ -25,6 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from . import fock
 from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
-from .lindblad import StepperConfig, evolve, leak_channels
+from .lindblad import StepperConfig, closed_form, evolve, leak_channels
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
+#: most points of one Hamiltonian that run as one stack; bounds a batch's memory
+BATCH_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -228,17 +231,22 @@ def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
     return fock.DensityMatrix(space, mat)
 
 
-def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray) -> float:
-    """Largest absolute eigenvalue of the Hermitian difference of two matrices."""
-    if rho_expected.shape != rho_result.shape:
+def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray):
+    """Largest absolute eigenvalue of the Hermitian difference of two matrices.
+
+    For a stack ``rho_result`` of shape (n, d, d) it is an array of n errors,
+    one per matrix against ``rho_expected``.
+    """
+    if rho_expected.shape != rho_result.shape[-2:]:
         raise PhysicsValidationError(
             f"dimension mismatch {rho_expected.shape} vs {rho_result.shape}")
     diff = rho_expected - rho_result
-    herm = np.max(np.abs(diff - diff.conj().T))
-    if herm > 1e-9:
-        raise PhysicsValidationError(f"difference non-Hermitian by {herm:.3e}")
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+    diff_dag = diff.conj().swapaxes(-1, -2)
+    herm = np.max(np.abs(diff - diff_dag), axis=(-2, -1))
+    if np.any(herm > 1e-9):
+        raise PhysicsValidationError(f"difference non-Hermitian by {np.max(herm):.3e}")
+    errors = np.max(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff_dag))), axis=-1)
+    return float(errors) if errors.ndim == 0 else errors
 
 
 def _ideal_reference(rho_in: fock.DensityMatrix, space: fock.StateSpace) -> np.ndarray:
@@ -257,6 +265,28 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
               space: fock.StateSpace = None, use_ideal_ns: bool = False) -> GateReport:
     """Run the full array on a valid two-photon input and score it.
 
+    The one-point case of :func:`run_batch`: the point's exception is raised.
+    """
+    outcome = run_batch(rho_in, [params], space, use_ideal_ns)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
+              space: fock.StateSpace = None, use_ideal_ns: bool = False) -> list:
+    """Run the full array on one input at each point of ``params_seq``.
+
+    Returns one outcome per point, in order: its :class:`GateReport`, or the
+    exception that the point raised.  The ideal reference and the first
+    splitter run once.  The points are grouped by Hamiltonian, in slices of
+    at most ``BATCH_SLICE``, and each slice runs as stacked calls: one
+    closed-form stack for its lossless transits, then the shifter, the
+    second splitter and the scoring over the whole slice.  Leaky transits
+    (and any at t = 0) run through ``evolve`` one point at a time.  A slice
+    whose stacked stage raises reruns one point at a time, so a failing point
+    fails alone, with the exception it raises when run alone.
+
     The cavity stage runs in the frame rotating at the cavity frequency,
     which is exact here: the total excitation N commutes with H and each
     L^dag L, and [N, L] = -L.  ``use_ideal_ns`` replaces the cavity stage with
@@ -265,40 +295,101 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
     structural self-check.
     """
     started = time.perf_counter()
+    params_seq = list(params_seq)
     if space is None:
         space = fock.default_state_space()
-    if rho_in.space is not space and rho_in.space != space:
-        raise PhysicsValidationError("input state lives on a different state space")
+    try:
+        if rho_in.space is not space and rho_in.space != space:
+            raise PhysicsValidationError("input state lives on a different state space")
+        ideal_full = _ideal_reference(rho_in, space)
+        bs = beamsplitter_unitary(("x1", "y1"), space)
+        stage_in = bs @ rho_in.matrix @ bs.conj().T
+    except Exception as exc:
+        return [exc] * len(params_seq)
+    shared_ms = (time.perf_counter() - started) * 1e3 / max(1, len(params_seq))
 
-    ideal_full = _ideal_reference(rho_in, space)
-    bs = beamsplitter_unitary(("x1", "y1"), space)
-    mat = bs @ rho_in.matrix @ bs.conj().T
+    by_hamiltonian = {}
+    for k, params in enumerate(params_seq):
+        by_hamiltonian.setdefault(params.phys, []).append(k)
+    outcomes = [None] * len(params_seq)
+    for ks in by_hamiltonian.values():
+        for start in range(0, len(ks), BATCH_SLICE):
+            part = ks[start:start + BATCH_SLICE]
+            reports = _run_slice(stage_in, ideal_full, [params_seq[k] for k in part],
+                                 space, use_ideal_ns, shared_ms)
+            for k, outcome in zip(part, reports):
+                outcomes[k] = outcome
+    return outcomes
 
-    trace_drift = 0.0
-    phi = 0.0
-    propagation, n_steps = "ideal_ns", 0
+
+def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms) -> list:
+    """Outcomes of one slice of points that share a Hamiltonian; see :func:`run_batch`."""
+    started = time.perf_counter()
+    try:
+        outcomes, mats, drift, phi, paths = _cavity_stage(
+            stage_in, params_seq, space, use_ideal_ns)
+        shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
+        if shifted:
+            shift = np.stack([phase_shifter_unitary("x1", phi[k], space)
+                              @ phase_shifter_unitary("y1", phi[k], space) for k in shifted])
+            mats[shifted] = shift @ mats[shifted] @ shift.conj().swapaxes(-1, -2)
+        bs = beamsplitter_unitary(("x1", "y1"), space)
+        mats = bs @ mats @ bs.conj().T
+        errors = error_rate(ideal_full, mats)
+        # summed one row at a time: numpy's stacked sum adds in another order
+        excited = np.diagonal(mats, axis1=-2, axis2=-1)[:, _excited(space)]
+        residual = [row.sum().real for row in excited]
+    except Exception as exc:
+        if len(params_seq) == 1:
+            return [exc]
+        return [_run_slice(stage_in, ideal_full, [params], space, use_ideal_ns, shared_ms)[0]
+                for params in params_seq]
+    wall_ms = shared_ms + (time.perf_counter() - started) * 1e3 / len(params_seq)
+    for k, params in enumerate(params_seq):
+        if outcomes[k] is None:
+            outcomes[k] = GateReport(
+                params=params, error=float(errors[k]), trace_drift=float(drift[k]),
+                atom_residual=float(residual[k]), phase_shift=float(phi[k]),
+                dim=space.dim, wall_ms=wall_ms, propagation=paths[k][0],
+                n_steps=paths[k][1])
+    return outcomes
+
+
+def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
+    """Each point's state after the cavity stage, as one stack, with its trace
+    drift, shifter angle and (propagation, n_steps).  A point whose ``evolve``
+    raises gets the exception as its outcome and carries its input on."""
+    n = len(params_seq)
+    outcomes = [None] * n
+    mats = np.repeat(stage_in[None], n, axis=0)
+    drift, phi = np.zeros(n), np.zeros(n)
+    paths = [("ideal_ns", 0)] * n
     if use_ideal_ns:
         ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
-        mat = ns @ mat @ ns.conj().T
-    else:
-        h = build_array_hamiltonian(space, params.phys, frame="rotating")
+        mats[:] = ns @ stage_in @ ns.conj().T
+        return outcomes, mats, drift, phi, paths
+
+    h = build_array_hamiltonian(space, params_seq[0].phys, frame="rotating")
+    closed = []
+    for k, params in enumerate(params_seq):
         channels = leak_channels(space, params.ly_over_g * params.g)
-        result = evolve(fock.DensityMatrix(space, mat, check=False), h, channels,
-                        params.total_time, params.stepper)
-        mat = result.rho.matrix
-        trace_drift, n_steps, propagation = \
-            result.trace_drift, result.n_steps, result.propagation
-        if params.phs:
-            phi = compensating_phase(params.phys, params.total_time)
-            shift = phase_shifter_unitary("x1", phi, space) @ \
-                phase_shifter_unitary("y1", phi, space)
-            mat = shift @ mat @ shift.conj().T
-
-    mat = bs @ mat @ bs.conj().T
-
-    error = error_rate(ideal_full, mat)
-    atom_residual = float(np.real(np.diag(mat)[_excited(space)].sum()))
-    wall_ms = (time.perf_counter() - started) * 1e3
-    return GateReport(params=params, error=error, trace_drift=trace_drift,
-                      atom_residual=atom_residual, phase_shift=phi, dim=space.dim,
-                      wall_ms=wall_ms, propagation=propagation, n_steps=n_steps)
+        if not channels and params.total_time > 0:
+            closed.append(k)
+            continue
+        try:
+            result = evolve(fock.DensityMatrix(space, stage_in, check=False), h, channels,
+                            params.total_time, params.stepper)
+        except Exception as exc:
+            outcomes[k] = exc
+            continue
+        mats[k], drift[k] = result.rho.matrix, result.trace_drift
+        paths[k] = (result.propagation, result.n_steps)
+    if closed:
+        times = [params_seq[k].total_time for k in closed]
+        mats[closed], drift[closed], _ = closed_form(stage_in, h, times)
+        for k in closed:
+            paths[k] = ("closed_form", 0)
+    for k, params in enumerate(params_seq):
+        if params.phs and outcomes[k] is None:
+            phi[k] = compensating_phase(params.phys, params.total_time)
+    return outcomes, mats, drift, phi, paths

@@ -2,7 +2,8 @@
 trotterized master equation when photon-leak jumps are present.
 
 With no jump channel the run is one spectral exponential exp(-i H T), which
-is exact ("closed_form").  With jumps ("stepped"), one step conjugates the
+is exact ("closed_form"); ``closed_form`` conjugates one input with the
+exponentials of many durations as one stack.  With jumps ("stepped"), one step conjugates the
 density matrix with the exact unitary of the step interval and then adds the
 dissipator at first order:
 
@@ -115,16 +116,30 @@ def _eigh(dtype: str, shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray
     return fock.frozen(evals), fock.frozen(evecs)
 
 
-def unitary_step_matrix(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) through the spectral decomposition of the Hermitian H."""
+def unitary_step_matrix(h: np.ndarray, dt) -> np.ndarray:
+    """exp(-i dt H) through the spectral decomposition of the Hermitian H;
+    for an array of times, the stack of one exponential per time."""
     evals, evecs = _spectrum(h)
-    return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
+    phases = np.exp(-1j * np.asarray(dt)[..., None] * evals)
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
+
+
+def closed_form(rho: np.ndarray, h: np.ndarray, times) -> tuple:
+    """U rho U^dag with U = exp(-i H T) for each T of ``times``, as one stack.
+
+    Returns the stack and the trace drift and lowest eigenvalue of each
+    matrix; one that fails the state checks raises :class:`DiagnosticError`.
+    """
+    u = unitary_step_matrix(h, np.asarray(times, dtype=float))
+    mats = u @ rho @ u.conj().swapaxes(-1, -2)
+    drift, lo = _check_state(mats, "after the closed-form transit")
+    return mats, drift, lo
 
 
 def _pack_channels(channels: Sequence[LindbladChannel]):
     """The jumps stacked, and half_m = sum_k L_k^dag L_k / 2."""
     jumps = np.stack([c.matrix for c in channels])
-    return jumps, 0.5 * np.einsum("kji,kjl->il", jumps.conj(), jumps)
+    return jumps, 0.5 * (jumps.conj().transpose(0, 2, 1) @ jumps).sum(axis=0)
 
 
 def _components(links: np.ndarray) -> np.ndarray:
@@ -217,19 +232,20 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
 
 
 def _check_state(rho: np.ndarray, where: str):
-    """Trace drift and lowest eigenvalue of ``rho``; DiagnosticError past the limits."""
+    """Trace drift and lowest eigenvalue of ``rho``, or of each matrix of a
+    stack; DiagnosticError if a matrix is past the limits."""
     if not np.all(np.isfinite(rho)):
         raise DiagnosticError(f"non-finite density matrix entries {where}")
-    drift = abs(rho.trace().real - 1.0)
-    if drift > StepperConfig.trace_tol:
+    drift = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
+    if np.any(drift > StepperConfig.trace_tol):
         raise DiagnosticError(
-            f"trace drift {drift:.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
+            f"trace drift {np.max(drift):.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
             "the step size is too large"
         )
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < POSITIVITY_LIMIT:
+    lo = np.linalg.eigvalsh(rho)[..., 0]
+    if np.any(lo < POSITIVITY_LIMIT):
         raise DiagnosticError(
-            f"eigenvalue {lo:.3e} below {POSITIVITY_LIMIT} {where}; "
+            f"eigenvalue {np.min(lo):.3e} below {POSITIVITY_LIMIT} {where}; "
             "the step size is too large"
         )
     return drift, lo
@@ -258,11 +274,9 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
                             float(np.linalg.eigvalsh(rho.matrix)[0]), propagation)
     h = np.asarray(h)
     if not channels:
-        u = unitary_step_matrix(h, total_time)
-        mat = u @ rho.matrix @ u.conj().T
-        drift, lo = _check_state(mat, "after the closed-form transit")
-        return EvolveResult(fock.DensityMatrix(space, mat, check=False), 0, drift, lo,
-                            propagation)
+        mats, drift, lo = closed_form(rho.matrix, h, [total_time])
+        return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), 0,
+                            float(drift[0]), float(lo[0]), propagation)
 
     dt = total_time / cfg.dt_steps
     norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
@@ -280,4 +294,4 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     drift, lo = _check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
-    return EvolveResult(out, cfg.dt_steps, drift, lo, propagation)
+    return EvolveResult(out, cfg.dt_steps, float(drift), float(lo), propagation)

@@ -159,20 +159,26 @@ def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord
                        status="failed", message=f"{type(exc).__name__}: {exc}")
 
 
-def evaluate_point(spec: SweepSpec, point: dict) -> SweepRecord:
-    """Run one grid point; failures come back as a failed record."""
-    params = _apply_point(spec.base, point)
+def _record(params: circuit.SimParams, outcome) -> SweepRecord:
+    if isinstance(outcome, Exception):
+        return _failed_record(params, outcome)
+    return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
+                       ly_over_g=params.ly_over_g, phs=params.phs,
+                       error=outcome.error, trace_drift=outcome.trace_drift,
+                       atom_residual=outcome.atom_residual, wall_ms=outcome.wall_ms)
+
+
+def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
+    """Run grid points as one ``circuit.run_batch``; a point that fails comes
+    back as a failed record, so the sweep does not abort."""
+    params = [_apply_point(spec.base, p) for p in points]
     try:
         space = fock.default_state_space()
-        report = circuit.run_array(input_state(spec.input_state, spec.seed, space),
-                                    params, space)
-        return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
-                           ly_over_g=params.ly_over_g, phs=params.phs,
-                           error=report.error, trace_drift=report.trace_drift,
-                           atom_residual=report.atom_residual,
-                           wall_ms=report.wall_ms)
-    except Exception as exc:  # per-point isolation: the sweep must not abort
-        return _failed_record(params, exc)
+        outcomes = circuit.run_batch(input_state(spec.input_state, spec.seed, space),
+                                     params, space)
+    except Exception as exc:
+        outcomes = [exc] * len(params)
+    return [_record(p, outcome) for p, outcome in zip(params, outcomes)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -189,7 +195,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     if not points:
         return []
     if workers <= 1:
-        return [evaluate_point(spec, p) for p in points]
+        return _evaluate_chunk(spec, points)
     size = max(1, len(points) // (8 * workers))
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,10 +213,6 @@ def _chunk_records(spec: SweepSpec, chunk: list[dict], future) -> list[SweepReco
                 return solo.submit(_evaluate_chunk, spec, chunk).result()
     except Exception as exc:
         return [_failed_record(_apply_point(spec.base, p), exc) for p in chunk]
-
-
-def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
-    return [evaluate_point(spec, p) for p in points]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from csign import circuit, fock, jc, lindblad
 from csign.circuit import SimParams
 from csign.dynamics import build_array_hamiltonian
-from csign.errors import PhysicsValidationError
+from csign.errors import DiagnosticError, PhysicsValidationError
 from csign.lindblad import StepperConfig
 
 from conftest import random_hermitian
@@ -192,6 +192,15 @@ class TestErrorRate:
         with pytest.raises(PhysicsValidationError):
             circuit.error_rate(np.eye(2), np.eye(3))
 
+    def test_stack_is_scored_per_matrix(self, rng):
+        a = random_hermitian(rng, 6, trace_one=True)
+        stack = np.stack([random_hermitian(rng, 6, trace_one=True) for _ in range(5)])
+        errors = circuit.error_rate(a, stack)
+        assert errors.shape == (5,)
+        assert [float(e) for e in errors] == [circuit.error_rate(a, m) for m in stack]
+        with pytest.raises(PhysicsValidationError):
+            circuit.error_rate(np.eye(2), np.stack([np.eye(3)] * 2))
+
 
 class TestRunArray:
     # a few cases intentionally use coarse steps at long durations, which is
@@ -315,15 +324,17 @@ class TestClosedFormTransit:
     REFERENCE_STEPS = 2000
 
     @classmethod
-    def stepped_stage(cls, rho, h, channels, total_time, cfg):
-        # stands in for ``lindblad.evolve`` in ``run_array``
-        assert not channels
+    def stepped(cls, rho, h, total_time):
         dt = total_time / cls.REFERENCE_STEPS
-        mat = trotter_steps(rho.matrix, lindblad.unitary_step_matrix(h, dt), [], dt,
-                            cls.REFERENCE_STEPS)
-        return lindblad.EvolveResult(fock.DensityMatrix(rho.space, mat, check=False),
-                                     cls.REFERENCE_STEPS, abs(mat.trace().real - 1.0),
-                                     float(np.linalg.eigvalsh(mat)[0]), "stepped")
+        return trotter_steps(rho, lindblad.unitary_step_matrix(h, dt), [], dt,
+                             cls.REFERENCE_STEPS)
+
+    @classmethod
+    def stepped_transits(cls, rho, h, times):
+        # stands in for ``lindblad.closed_form`` in ``run_batch``
+        mats = np.stack([cls.stepped(rho, h, total_time) for total_time in times])
+        return (mats, np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0),
+                np.linalg.eigvalsh(mats)[:, 0])
 
     @staticmethod
     def draws():
@@ -342,35 +353,134 @@ class TestClosedFormTransit:
         for params in self.draws():
             h = build_array_hamiltonian(space, params.phys, frame="rotating")
             closed = lindblad.evolve(stage_in, h, [], params.total_time)
-            stepped = self.stepped_stage(stage_in, h, [], params.total_time, None)
+            stepped = self.stepped(stage_in.matrix, h, params.total_time)
             assert (closed.propagation, closed.n_steps) == ("closed_form", 0)
-            assert np.max(np.abs(closed.rho.matrix - stepped.rho.matrix)) <= 1e-9, params
+            assert np.max(np.abs(closed.rho.matrix - stepped)) <= 1e-9, params
             report = circuit.run_array(probe, params, space)
             assert (report.propagation, report.n_steps) == ("closed_form", 0)
             with monkeypatch.context() as patch:
-                patch.setattr(circuit, "evolve", self.stepped_stage)
+                patch.setattr(circuit, "closed_form", self.stepped_transits)
                 reference = circuit.run_array(probe, params, space)
             assert abs(report.error - reference.error) <= 1e-9, params
             assert report.trace_drift <= 1e-12
 
     def test_leaky_run_is_stepped(self, space, probe, monkeypatch):
-        # every non-ideal run makes exactly one ``evolve`` call, lossless or leaky
+        # every non-ideal run makes exactly one cavity-stage call: ``evolve``
+        # when leaky, a one-point ``closed_form`` stack when lossless
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append((len(args[2]), args[3]))
+        def evolve_spy(*args, **kwargs):
+            calls.append(("evolve", len(args[2]), args[3]))
             return lindblad.evolve(*args, **kwargs)
 
-        monkeypatch.setattr(circuit, "evolve", spy)
+        def closed_form_spy(rho, h, times):
+            calls.append(("closed_form", list(times)))
+            return lindblad.closed_form(rho, h, times)
+
+        monkeypatch.setattr(circuit, "evolve", evolve_spy)
+        monkeypatch.setattr(circuit, "closed_form", closed_form_spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
-        assert calls == [(2, params.total_time)]
+        assert calls == [("evolve", 2, params.total_time)]
         assert (report.propagation, report.n_steps) == ("stepped", 400)
         lossless = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)
         assert (lossless.propagation, lossless.n_steps) == ("closed_form", 0)
-        assert calls == [(2, params.total_time), (0, params.total_time)]
+        assert calls == [("evolve", 2, params.total_time),
+                         ("closed_form", [params.total_time])]
         circuit.run_array(probe, params, space, use_ideal_ns=True)
         assert len(calls) == 2
+
+
+def report_bits(report):
+    """Everything a report says except its wall time, floats by their repr."""
+    payload = json.loads(report.to_json())
+    del payload["diagnostics"]["wall_ms"]
+    return json.dumps(payload)
+
+
+class TestRunBatch:
+    """``run_batch`` is ``run_array`` over many points, to the last bit."""
+
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    @staticmethod
+    def mixed_points():
+        # more than BATCH_SLICE points at one Hamiltonian, so a slice boundary
+        # falls inside it, and a few at two other detunings
+        rng = np.random.default_rng(1506)
+        deltas = [0.0] * (circuit.BATCH_SLICE + 8) + [1.3] * 6 + [-2.2] * 6
+        rng.shuffle(deltas)
+        return [SimParams(t=0.0 if k % 17 == 3 else float(rng.uniform(0.0, 100.0)),
+                          delta_over_g=delta, ly_over_g=0.02 if k % 9 == 4 else 0.0,
+                          phs=int(rng.integers(2)), stepper=FAST)
+                for k, delta in enumerate(deltas)]
+
+    def test_matches_run_array_bit_for_bit(self, space, probe):
+        points = self.mixed_points()
+        assert sum(p.delta_over_g == 0.0 for p in points) > circuit.BATCH_SLICE
+        mixed = circuit.random_valid_input(space, np.random.default_rng(7), mixed=True)
+        for state in (probe, mixed):
+            batch = circuit.run_batch(state, points, space)
+            assert len(batch) == len(points)
+            paths = {report.propagation for report in batch}
+            assert paths == {"closed_form", "stepped"}
+            for params, report in zip(points, batch):
+                alone = circuit.run_array(state, params, space)
+                assert report.params is params
+                assert report_bits(report) == report_bits(alone), params
+
+    def test_one_stack_per_hamiltonian_slice(self, space, probe, monkeypatch):
+        calls = []
+
+        def closed_form_spy(rho, h, times):
+            calls.append(len(times))
+            return lindblad.closed_form(rho, h, times)
+
+        monkeypatch.setattr(circuit, "closed_form", closed_form_spy)
+        points = [SimParams(t=1.0 + k) for k in range(circuit.BATCH_SLICE + 6)]
+        points += [SimParams(t=2.0, delta_over_g=1.0), SimParams(t=0.0)]
+        circuit.run_batch(probe, points, space)
+        # t = 0 returns its input through ``evolve``
+        assert calls == [circuit.BATCH_SLICE, 6, 1]
+
+    def test_failing_point_fails_alone(self, space, probe):
+        bad = SimParams(t=150.0, ly_over_g=1.0, stepper=StepperConfig(dt_steps=1))
+        good = [SimParams(t=3.0), SimParams(t=7.0, ly_over_g=0.01, stepper=FAST),
+                SimParams(t=17.0)]
+        batch = circuit.run_batch(probe, [good[0], bad, *good[1:]], space)
+        with pytest.raises(DiagnosticError) as alone:
+            circuit.run_array(probe, bad, space)
+        assert type(batch[1]) is DiagnosticError
+        assert str(batch[1]) == str(alone.value)
+        for params, report in zip(good, batch[:1] + batch[2:]):
+            assert report_bits(report) == report_bits(circuit.run_array(probe, params, space))
+
+    def test_stacked_stage_failure_reruns_the_slice(self, space, probe, monkeypatch):
+        # a stage that runs once per slice raises for one point: the slice
+        # reruns point by point, and only that point fails
+        phase = circuit.compensating_phase
+
+        def failing_phase(phys, total_time):
+            if total_time == SimParams(t=7.0).total_time:
+                raise PhysicsValidationError("no phase at t = 7")
+            return phase(phys, total_time)
+
+        monkeypatch.setattr(circuit, "compensating_phase", failing_phase)
+        points = [SimParams(t=t) for t in (3.0, 7.0, 17.0)]
+        batch = circuit.run_batch(probe, points, space)
+        assert str(batch[1]) == "no phase at t = 7"
+        monkeypatch.undo()
+        for k in (0, 2):
+            assert report_bits(batch[k]) == \
+                report_bits(circuit.run_array(probe, points[k], space))
+
+    def test_bad_input_fails_every_point(self, space):
+        vec = np.zeros(space.dim, dtype=complex)
+        vec[space.index_of(fock.BasisState(2, 0, 0, 0, 0, 0))] = 1.0
+        bad = fock.DensityMatrix(space, np.outer(vec, vec.conj()))
+        batch = circuit.run_batch(bad, [SimParams(t=1.0), SimParams(t=2.0)], space)
+        assert all(isinstance(outcome, PhysicsValidationError) for outcome in batch)
+        assert circuit.run_batch(bad, [], space) == []
 
 
 class TestRandomInputAgreement:

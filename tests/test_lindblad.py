@@ -233,6 +233,21 @@ class TestEvolve:
         assert np.max(np.abs(res.rho.matrix - exact)) < 1e-10
         assert (res.propagation, res.n_steps) == ("closed_form", 0)
 
+    def test_closed_form_stack_is_per_matrix_conjugation(self, space, rng):
+        # each matrix of the stack is u rho u^dag with the one-time exponential
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.17), frame="rotating")
+        gmat = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        rho = gmat @ gmat.conj().T
+        rho /= rho.trace().real
+        times = [0.5, 3.0, 41.0, 700.0]
+        mats, drift, lo = lindblad.closed_form(rho, h, times)
+        for k, total in enumerate(times):
+            u = lindblad.unitary_step_matrix(h, total)
+            one = u @ rho @ u.conj().T
+            assert np.array_equal(mats[k], one)
+            assert drift[k] == abs(one.trace().real - 1.0)
+            assert lo[k] == np.linalg.eigvalsh(one)[0]
+
     def test_two_photon_recurrence(self):
         # resonant two-photon exchange returns at multiples of pi/(sqrt(2) g)
         p = PhysParams(g=0.1, omega_c=10.0, delta=0.0)
@@ -384,3 +399,12 @@ class TestChannels:
                            0.07 * fock.annihilation_matrix("x1", space))
         assert np.allclose(channels[1].matrix,
                            0.07 * fock.annihilation_matrix("y1", space))
+
+    def test_packed_half_m_matches_einsum_bit_for_bit(self, space):
+        # each entry of half_m sums at most two nonzero products, so the
+        # order of summation cannot change it
+        for ly_over_g in (1e-4, 3e-3, 0.02, 0.37, 1.0):
+            channels = lindblad.leak_channels(space, ly_over_g * 0.1)
+            jumps, half_m = lindblad._pack_channels(channels)
+            assert np.array_equal(half_m,
+                                  0.5 * np.einsum("kji,kjl->il", jumps.conj(), jumps))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csign import cli, sweep
+from csign import circuit, cli, sweep
 from csign.circuit import SimParams
 from csign.errors import PhysicsValidationError
 from csign.lindblad import StepperConfig
@@ -140,19 +140,19 @@ class TestRunSweep:
         spec = SweepSpec(axes=(Axis("t", tuple(float(t) for t in range(1, 17))),),
                          base=FAST_BASE)
         serial = sweep.run_sweep(spec, workers=1)
-        evaluate = sweep.evaluate_point
+        run_batch = circuit.run_batch
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             concurrent.futures.ProcessPoolExecutor,
             mp_context=multiprocessing.get_context("fork")))
         # the last point, and an early one whose crash breaks the pool
         # while most chunks are still pending
         for crash_t in (16.0, 2.0):
-            def crash_at(spec, point, crash_t=crash_t):
-                if point["t"] == crash_t:
+            def crash_at(rho, params_seq, space, crash_t=crash_t):
+                if any(params.t == crash_t for params in params_seq):
                     os._exit(1)
-                return evaluate(spec, point)
+                return run_batch(rho, params_seq, space)
 
-            monkeypatch.setattr(sweep, "evaluate_point", crash_at)
+            monkeypatch.setattr(circuit, "run_batch", crash_at)
             records = sweep.run_sweep(spec, workers=2)
             assert [r.t for r in records] == [r.t for r in serial]
             failed = [r for r in records if r.status == "failed"]
