@@ -24,7 +24,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +72,7 @@ class SimParams:
     def total_time(self) -> float:
         return self.t * math.pi / (math.sqrt(2.0) * self.g)
 
-    @property
+    @cached_property
     def phys(self) -> PhysParams:
         return PhysParams(g=self.g, delta=self.delta_over_g * self.g)
 
@@ -179,9 +179,11 @@ def _excited(space: fock.StateSpace) -> np.ndarray:
     return fock.frozen(np.array([s.a1 == fock.E or s.a2 == fock.E for s in space.states]))
 
 
-def phase_shifter_unitary(rail: str, phi: float, space: fock.StateSpace) -> np.ndarray:
-    """Diagonal phase e^{i n phi} on one rail's occupation."""
-    return fock.frozen(np.diag(np.exp(1j * phi * _rail_occupations(rail, space))))
+def phase_shifter(phi, space: fock.StateSpace) -> np.ndarray:
+    """Diagonal of the shifter e^{i phi n_x1} e^{i phi n_y1} on both cavity
+    rails; for an array of angles, one diagonal per angle."""
+    photons = _rail_occupations("x1", space) + _rail_occupations("y1", space)
+    return np.exp(1j * np.asarray(phi)[..., None] * photons)
 
 
 @lru_cache(maxsize=None)
@@ -330,9 +332,8 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
             stage_in, params_seq, space, use_ideal_ns)
         shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
         if shifted:
-            shift = np.stack([phase_shifter_unitary("x1", phi[k], space)
-                              @ phase_shifter_unitary("y1", phi[k], space) for k in shifted])
-            mats[shifted] = shift @ mats[shifted] @ shift.conj().swapaxes(-1, -2)
+            shift = phase_shifter(phi[shifted], space)
+            mats[shifted] = shift[:, :, None] * mats[shifted] * shift.conj()[:, None, :]
         bs = beamsplitter_unitary(("x1", "y1"), space)
         mats = bs @ mats @ bs.conj().T
         errors = error_rate(ideal_full, mats)
@@ -386,7 +387,7 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
         paths[k] = (result.propagation, result.n_steps)
     if closed:
         times = [params_seq[k].total_time for k in closed]
-        mats[closed], drift[closed], _ = closed_form(stage_in, h, times)
+        mats[closed], drift[closed] = closed_form(stage_in, h, times)
         for k in closed:
             paths[k] = ("closed_form", 0)
     for k, params in enumerate(params_seq):

@@ -85,12 +85,11 @@ class StepperConfig:
 
 @dataclass
 class EvolveResult:
-    """The evolved state, its checks, and the path taken ("closed_form" or "stepped")."""
+    """The evolved state, its trace drift, and the path taken ("closed_form" or "stepped")."""
 
     rho: fock.DensityMatrix
     n_steps: int
     trace_drift: float
-    min_eigenvalue: float
     propagation: str
 
 
@@ -127,13 +126,12 @@ def unitary_step_matrix(h: np.ndarray, dt) -> np.ndarray:
 def closed_form(rho: np.ndarray, h: np.ndarray, times) -> tuple:
     """U rho U^dag with U = exp(-i H T) for each T of ``times``, as one stack.
 
-    Returns the stack and the trace drift and lowest eigenvalue of each
-    matrix; one that fails the state checks raises :class:`DiagnosticError`.
+    Returns the stack and the trace drift of each matrix; one that fails the
+    state checks raises :class:`DiagnosticError`.
     """
     u = unitary_step_matrix(h, np.asarray(times, dtype=float))
     mats = u @ rho @ u.conj().swapaxes(-1, -2)
-    drift, lo = _check_state(mats, "after the closed-form transit")
-    return mats, drift, lo
+    return mats, _check_state(mats, "after the closed-form transit")
 
 
 def _pack_channels(channels: Sequence[LindbladChannel]):
@@ -232,8 +230,9 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
 
 
 def _check_state(rho: np.ndarray, where: str):
-    """Trace drift and lowest eigenvalue of ``rho``, or of each matrix of a
-    stack; DiagnosticError if a matrix is past the limits."""
+    """Trace drift of ``rho``, or of each matrix of a stack; DiagnosticError
+    if a matrix has a non-finite entry, a trace drift past ``trace_tol`` or an
+    eigenvalue below ``POSITIVITY_LIMIT``."""
     if not np.all(np.isfinite(rho)):
         raise DiagnosticError(f"non-finite density matrix entries {where}")
     drift = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
@@ -242,13 +241,16 @@ def _check_state(rho: np.ndarray, where: str):
             f"trace drift {np.max(drift):.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
             "the step size is too large"
         )
-    lo = np.linalg.eigvalsh(rho)[..., 0]
-    if np.any(lo < POSITIVITY_LIMIT):
-        raise DiagnosticError(
-            f"eigenvalue {np.min(lo):.3e} below {POSITIVITY_LIMIT} {where}; "
-            "the step size is too large"
-        )
-    return drift, lo
+    try:  # every eigenvalue is above the limit iff rho - limit * I is positive definite
+        np.linalg.cholesky(rho - POSITIVITY_LIMIT * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:  # an eigenvalue is below the limit, or at it
+        lo = np.min(np.linalg.eigvalsh(rho)[..., 0])
+        if lo < POSITIVITY_LIMIT:
+            raise DiagnosticError(
+                f"eigenvalue {lo:.3e} below {POSITIVITY_LIMIT} {where}; "
+                "the step size is too large"
+            ) from None
+    return drift
 
 
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
@@ -270,13 +272,12 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     space = rho.space
     propagation = "stepped" if channels else "closed_form"
     if total_time == 0:
-        return EvolveResult(rho, 0, abs(rho.matrix.trace().real - 1.0),
-                            float(np.linalg.eigvalsh(rho.matrix)[0]), propagation)
+        return EvolveResult(rho, 0, abs(rho.matrix.trace().real - 1.0), propagation)
     h = np.asarray(h)
     if not channels:
-        mats, drift, lo = closed_form(rho.matrix, h, [total_time])
+        mats, drift = closed_form(rho.matrix, h, [total_time])
         return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), 0,
-                            float(drift[0]), float(lo[0]), propagation)
+                            float(drift[0]), propagation)
 
     dt = total_time / cfg.dt_steps
     norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
@@ -291,7 +292,7 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
     u = np.where(same_block, unitary_step_matrix(h, dt), 0)
     mat = _power_by_sector(rho.matrix, u, jumps, half_m, dt, cfg.dt_steps, sectors)
-    drift, lo = _check_state(mat, f"after {cfg.dt_steps} steps")
+    drift = _check_state(mat, f"after {cfg.dt_steps} steps")
     mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
     out = fock.DensityMatrix(space, mat, check=False)
-    return EvolveResult(out, cfg.dt_steps, float(drift), float(lo), propagation)
+    return EvolveResult(out, cfg.dt_steps, float(drift), propagation)

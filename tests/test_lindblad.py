@@ -240,13 +240,12 @@ class TestEvolve:
         rho = gmat @ gmat.conj().T
         rho /= rho.trace().real
         times = [0.5, 3.0, 41.0, 700.0]
-        mats, drift, lo = lindblad.closed_form(rho, h, times)
+        mats, drift = lindblad.closed_form(rho, h, times)
         for k, total in enumerate(times):
             u = lindblad.unitary_step_matrix(h, total)
             one = u @ rho @ u.conj().T
             assert np.array_equal(mats[k], one)
             assert drift[k] == abs(one.trace().real - 1.0)
-            assert lo[k] == np.linalg.eigvalsh(one)[0]
 
     def test_two_photon_recurrence(self):
         # resonant two-photon exchange returns at multiples of pi/(sqrt(2) g)
@@ -301,7 +300,17 @@ class TestEvolve:
         cfg = StepperConfig(dt_steps=1000)
         res = lindblad.evolve(dm(space, rho0), random_hermitian(rng, dim),
                               [LindbladChannel(0.1 * lowering(dim))], 5.0, cfg)
-        assert res.min_eigenvalue >= -10.0 * 5.0 / cfg.dt_steps
+        assert np.linalg.eigvalsh(res.rho.matrix)[0] >= -10.0 * 5.0 / cfg.dt_steps
+
+    def test_check_state_positivity_limit(self, rng):
+        # the limit is on the lowest eigenvalue, whatever the basis
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        stack = np.stack([q @ np.diag(w) @ q.conj().T
+                          for w in ([0.5, 0.3, 0.25, -0.05], [0.5, 0.3, 0.4, -0.2])])
+        drift = lindblad._check_state(stack[:1], "here")
+        assert drift[0] == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(DiagnosticError, match=r"eigenvalue -2\.000e-01 below -0\.1 here"):
+            lindblad._check_state(stack, "here")
 
     def test_blowup_raises_diagnostic_error(self):
         # a huge dissipative step drives the state far from positivity
