@@ -24,7 +24,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +72,7 @@ class SimParams:
     def total_time(self) -> float:
         return self.t * math.pi / (math.sqrt(2.0) * self.g)
 
-    @cached_property
+    @property
     def phys(self) -> PhysParams:
         return PhysParams(g=self.g, delta=self.delta_over_g * self.g)
 
@@ -91,6 +91,8 @@ class GateReport:
     and ``n_steps`` counts its trotter steps (0 unless stepped).  A stepped
     run reports ``dt_steps`` steps: its numbers are those of that many
     first-order steps, even though ``evolve`` evaluates them as a matrix power.
+    ``wall_ms`` is the run's wall time; a point of a :func:`run_batch` reports
+    its share of the batch's shared input stage and of its slice's wall time.
     """
 
     params: SimParams
@@ -247,7 +249,9 @@ def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray):
     herm = np.max(np.abs(diff - diff_dag), axis=(-2, -1))
     if np.any(herm > 1e-9):
         raise PhysicsValidationError(f"difference non-Hermitian by {np.max(herm):.3e}")
-    errors = np.max(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff_dag))), axis=-1)
+    diff += diff_dag  # in place: a batch holds a few of these stacks at once
+    diff *= 0.5
+    errors = np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return float(errors) if errors.ndim == 0 else errors
 
 
@@ -362,7 +366,7 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
     raises gets the exception as its outcome and carries its input on."""
     n = len(params_seq)
     outcomes = [None] * n
-    mats = np.repeat(stage_in[None], n, axis=0)
+    mats = np.empty((n,) + stage_in.shape, dtype=complex)
     drift, phi = np.zeros(n), np.zeros(n)
     paths = [("ideal_ns", 0)] * n
     if use_ideal_ns:
@@ -371,6 +375,7 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
         return outcomes, mats, drift, phi, paths
 
     h = build_array_hamiltonian(space, params_seq[0].phys, frame="rotating")
+    stage = fock.DensityMatrix(space, stage_in, check=False)
     closed = []
     for k, params in enumerate(params_seq):
         channels = leak_channels(space, params.ly_over_g * params.g)
@@ -378,10 +383,9 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
             closed.append(k)
             continue
         try:
-            result = evolve(fock.DensityMatrix(space, stage_in, check=False), h, channels,
-                            params.total_time, params.stepper)
+            result = evolve(stage, h, channels, params.total_time, params.stepper)
         except Exception as exc:
-            outcomes[k] = exc
+            outcomes[k], mats[k] = exc, stage_in
             continue
         mats[k], drift[k] = result.rho.matrix, result.trace_drift
         paths[k] = (result.propagation, result.n_steps)

@@ -3,9 +3,9 @@ trotterized master equation when photon-leak jumps are present.
 
 With no jump channel the run is one spectral exponential exp(-i H T), which
 is exact ("closed_form"); ``closed_form`` conjugates one input with the
-exponentials of many durations as one stack.  With jumps ("stepped"), one step conjugates the
-density matrix with the exact unitary of the step interval and then adds the
-dissipator at first order:
+exponentials of many durations as one stack.  With jumps ("stepped"), one
+step conjugates the density matrix with the exact unitary of the step
+interval and then adds the dissipator at first order:
 
     rho'  =  U rho U^dag  +  dt * sum_i ( L_i rho L_i^dag
                                           - (L_i^dag L_i rho + rho L_i^dag L_i) / 2 )

@@ -2,7 +2,8 @@
 
 A sweep is a cartesian grid over at most two of (t, delta_over_g, ly_over_g,
 phs) on top of fixed base parameters.  Each grid point runs the full array
-once and yields one record; point failures are recorded, never fatal.
+once, as part of a ``circuit.run_batch``, and yields one record; point
+failures are recorded, never fatal.
 Results serialize to CSV plus a JSON manifest, both byte-deterministic for
 identical specs (wall-clock timing is kept out of the files for that reason
 and lives on the in-memory records).
@@ -183,6 +184,12 @@ def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, in deterministic grid order.
+
+    Each chunk of grid points runs as one ``circuit.run_batch``, and a
+    serial sweep is one chunk, so its points run in stacked slices per
+    Hamiltonian.  A record's ``wall_ms`` is therefore its share of its
+    slice's wall time (and of the batch's shared input stage), not a time
+    measured for that point alone.
 
     Workers > 1 fan chunks of grid points over processes and collect them
     in grid order, so the output is independent of the worker count.  A
