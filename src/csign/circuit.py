@@ -246,12 +246,12 @@ def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray):
             f"dimension mismatch {rho_expected.shape} vs {rho_result.shape}")
     diff = rho_expected - rho_result
     diff_dag = diff.conj().swapaxes(-1, -2)
-    herm = np.max(np.abs(diff - diff_dag), axis=(-2, -1))
-    if np.any(herm > 1e-9):
-        raise PhysicsValidationError(f"difference non-Hermitian by {np.max(herm):.3e}")
+    herm = np.abs(diff - diff_dag).max()
+    if herm > 1e-9:
+        raise PhysicsValidationError(f"difference non-Hermitian by {herm:.3e}")
     diff += diff_dag  # in place: a batch holds a few of these stacks at once
     diff *= 0.5
-    errors = np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    errors = np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
     return float(errors) if errors.ndim == 0 else errors
 
 
@@ -342,7 +342,7 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
         mats = bs @ mats @ bs.conj().T
         errors = error_rate(ideal_full, mats)
         # summed one row at a time: numpy's stacked sum adds in another order
-        excited = np.diagonal(mats, axis1=-2, axis2=-1)[:, _excited(space)]
+        excited = mats.diagonal(axis1=-2, axis2=-1)[:, _excited(space)]
         residual = [row.sum().real for row in excited]
     except Exception as exc:
         if len(params_seq) == 1:

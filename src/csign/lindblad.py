@@ -233,18 +233,18 @@ def _check_state(rho: np.ndarray, where: str):
     """Trace drift of ``rho``, or of each matrix of a stack; DiagnosticError
     if a matrix has a non-finite entry, a trace drift past ``trace_tol`` or an
     eigenvalue below ``POSITIVITY_LIMIT``."""
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise DiagnosticError(f"non-finite density matrix entries {where}")
-    drift = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
-    if np.any(drift > StepperConfig.trace_tol):
+    drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
+    if drift.max() > StepperConfig.trace_tol:
         raise DiagnosticError(
-            f"trace drift {np.max(drift):.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
+            f"trace drift {drift.max():.3e} exceeds {StepperConfig.trace_tol:.1e} {where}; "
             "the step size is too large"
         )
     try:  # every eigenvalue is above the limit iff rho - limit * I is positive definite
         np.linalg.cholesky(rho - POSITIVITY_LIMIT * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:  # an eigenvalue is below the limit, or at it
-        lo = np.min(np.linalg.eigvalsh(rho)[..., 0])
+        lo = np.linalg.eigvalsh(rho)[..., 0].min()
         if lo < POSITIVITY_LIMIT:
             raise DiagnosticError(
                 f"eigenvalue {lo:.3e} below {POSITIVITY_LIMIT} {where}; "
