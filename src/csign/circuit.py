@@ -2,9 +2,9 @@
 
 Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
-simultaneously for the gate duration (``lindblad.evolve``: the exact
-exponential when lossless, trotterized master-equation evolution with photon
-leak), an optional compensating phase shifter acts on both cavity rails at
+simultaneously for the gate duration (``lindblad.closed_form``, the exact
+exponential, when lossless; ``lindblad.stepped``, trotterized
+master-equation evolution, with photon leak), an optional compensating phase shifter acts on both cavity rails at
 the angle ``jc.compensating_phase``, and a second beamsplitter recombines.
 The two-photon bunching of the first beamsplitter is what routes the |11>
 input through the cavity nonlinearity.
@@ -33,7 +33,7 @@ from . import fock
 from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
-from .lindblad import StepperConfig, closed_form, evolve, leak_channels
+from .lindblad import StepperConfig, closed_form, leak_channels, stepped
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 #: most points of one Hamiltonian that run as one stack; bounds a batch's memory
@@ -86,11 +86,12 @@ class SimParams:
 class GateReport:
     """Outcome of one run: the error and the diagnostics that ``to_json`` reports.
 
-    ``propagation`` names the cavity-stage path that ``lindblad.evolve`` took
-    ("closed_form" or "stepped", or "ideal_ns" for the ideal-sign self-check)
-    and ``n_steps`` counts its trotter steps (0 unless stepped).  A stepped
-    run reports ``dt_steps`` steps: its numbers are those of that many
-    first-order steps, even though ``evolve`` evaluates them as a matrix power.
+    ``propagation`` names the cavity-stage path the run took ("closed_form"
+    or "stepped", or "ideal_ns" for the ideal-sign self-check) and
+    ``n_steps`` counts its trotter steps (0 unless stepped).  A stepped run
+    reports ``dt_steps`` steps: its numbers are those of that many
+    first-order steps, even though ``lindblad.stepped`` evaluates them as a
+    matrix power.
     ``wall_ms`` is the run's wall time; a point of a :func:`run_batch` reports
     its share of the batch's shared input stage and of its slice's wall time.
     """
@@ -287,11 +288,11 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     exception that the point raised.  The ideal reference and the first
     splitter run once.  The points are grouped by Hamiltonian, in slices of
     at most ``BATCH_SLICE``, and each slice runs as stacked calls: one
-    closed-form stack for its lossless transits, then the shifter, the
-    second splitter and the scoring over the whole slice.  Leaky transits
-    (and any at t = 0) run through ``evolve`` one point at a time.  A slice
-    whose stacked stage raises reruns one point at a time, so a failing point
-    fails alone, with the exception it raises when run alone.
+    closed-form stack for its lossless transits, one ``stepped`` call per
+    step count for its leaky ones, then the shifter, the second splitter and
+    the scoring over the whole slice.  A transit at t = 0 keeps its input.  A slice whose stacked
+    stage raises reruns one point at a time, so a failing point fails alone,
+    with the exception it raises when run alone.
 
     The cavity stage runs in the frame rotating at the cavity frequency,
     which is exact here: the total excitation N commutes with H and each
@@ -332,8 +333,7 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
     """Outcomes of one slice of points that share a Hamiltonian; see :func:`run_batch`."""
     started = time.perf_counter()
     try:
-        outcomes, mats, drift, phi, paths = _cavity_stage(
-            stage_in, params_seq, space, use_ideal_ns)
+        mats, drift, phi, paths = _cavity_stage(stage_in, params_seq, space, use_ideal_ns)
         shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
         if shifted:
             shift = phase_shifter(phi[shifted], space)
@@ -350,51 +350,49 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
         return [_run_slice(stage_in, ideal_full, [params], space, use_ideal_ns, shared_ms)[0]
                 for params in params_seq]
     wall_ms = shared_ms + (time.perf_counter() - started) * 1e3 / len(params_seq)
-    for k, params in enumerate(params_seq):
-        if outcomes[k] is None:
-            outcomes[k] = GateReport(
-                params=params, error=float(errors[k]), trace_drift=float(drift[k]),
-                atom_residual=float(residual[k]), phase_shift=float(phi[k]),
-                dim=space.dim, wall_ms=wall_ms, propagation=paths[k][0],
-                n_steps=paths[k][1])
-    return outcomes
+    return [GateReport(params=params, error=float(errors[k]), trace_drift=float(drift[k]),
+                       atom_residual=float(residual[k]), phase_shift=float(phi[k]),
+                       dim=space.dim, wall_ms=wall_ms, propagation=paths[k][0],
+                       n_steps=paths[k][1])
+            for k, params in enumerate(params_seq)]
 
 
 def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
     """Each point's state after the cavity stage, as one stack, with its trace
-    drift, shifter angle and (propagation, n_steps).  A point whose ``evolve``
-    raises gets the exception as its outcome and carries its input on."""
+    drift, shifter angle and (propagation, n_steps).  The lossless transits
+    run as one ``closed_form`` stack and the leaky ones as one ``stepped``
+    stack per step count; a point at t = 0 keeps its input."""
     n = len(params_seq)
-    outcomes = [None] * n
     mats = np.empty((n,) + stage_in.shape, dtype=complex)
     drift, phi = np.zeros(n), np.zeros(n)
     paths = [("ideal_ns", 0)] * n
     if use_ideal_ns:
         ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
         mats[:] = ns @ stage_in @ ns.conj().T
-        return outcomes, mats, drift, phi, paths
+        return mats, drift, phi, paths
 
     h = build_array_hamiltonian(space, params_seq[0].phys, frame="rotating")
-    stage = fock.DensityMatrix(space, stage_in, check=False)
-    closed = []
+    closed, leaky = [], {}
     for k, params in enumerate(params_seq):
         channels = leak_channels(space, params.ly_over_g * params.g)
-        if not channels and params.total_time > 0:
+        if params.total_time == 0:
+            mats[k], drift[k] = stage_in, abs(stage_in.trace().real - 1.0)
+            paths[k] = ("stepped" if channels else "closed_form", 0)
+        elif channels:
+            leaky.setdefault(params.stepper, []).append((k, channels))
+        else:
             closed.append(k)
-            continue
-        try:
-            result = evolve(stage, h, channels, params.total_time, params.stepper)
-        except Exception as exc:
-            outcomes[k], mats[k] = exc, stage_in
-            continue
-        mats[k], drift[k] = result.rho.matrix, result.trace_drift
-        paths[k] = (result.propagation, result.n_steps)
+        if params.phs:
+            phi[k] = compensating_phase(params.phys, params.total_time)
     if closed:
         times = [params_seq[k].total_time for k in closed]
         mats[closed], drift[closed] = closed_form(stage_in, h, times)
         for k in closed:
             paths[k] = ("closed_form", 0)
-    for k, params in enumerate(params_seq):
-        if params.phs and outcomes[k] is None:
-            phi[k] = compensating_phase(params.phys, params.total_time)
-    return outcomes, mats, drift, phi, paths
+    for stepper, points in leaky.items():
+        ks, channel_sets = zip(*points)
+        ks, times = list(ks), [params_seq[k].total_time for k in ks]
+        mats[ks], drift[ks] = stepped(stage_in, h, channel_sets, times, stepper)
+        for k in ks:
+            paths[k] = ("stepped", stepper.dt_steps)
+    return mats, drift, phi, paths

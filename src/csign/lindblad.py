@@ -24,6 +24,11 @@ the ``dt_steps``-th power by repeated squaring: ``dt_steps`` still fixes the
 numbers, but costs about 2 log2(dt_steps) small matrix products.  Every term
 A X B is written as (B^T kron A) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), restricted to one sector, so the d^2 x d^2 map is never formed.
+``stepped`` runs many leaky points from one input as stacks: the step
+entries of all touched sectors are gathered at once, and each group of
+equally sized sectors is raised for all points of a stack in one call.  On
+this model a small matrix product costs mostly per call, not per matrix, so
+a point's share of an eight-point stack costs about half a lone point.
 
 The spectrum of H (cached by H's bytes) and the sector partition (cached by
 the zero patterns) are shared by every point of a sweep at one H.
@@ -95,6 +100,8 @@ class EvolveResult:
 
 NON_HERMITIAN_LIMIT = 1e-9
 POSITIVITY_LIMIT = -0.1  # genuine runs sit at round-off; blowups are O(1) negative
+#: most leaky points raised as one stack; bounds the memory of their step entries
+STEP_STACK = 8
 
 
 def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,30 +209,64 @@ def _partition_of(dim: int, n_jumps: int, h_nz: bytes, m_nz: bytes, jumps_nz: by
 
 
 def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
-    """``n_steps`` first-order steps as a matrix power of each sector's block of
+    """``n_steps`` first-order steps of each point of a stack, as a matrix
+    power of each sector's block of
 
         Phi = U (x) conj(U) - dt [(M U) (x) conj(U) + U (x) conj(M U)]
               + dt sum_k (L_k U) (x) conj(L_k U),
 
     where the entry of A (x) conj(B) between (a, b) and (i, j) is
-    A[a, i] conj(B[b, j]).  Sectors with no nonzero input stay exactly 0.
+    A[a, i] conj(B[b, j]).  ``u``, ``half_m`` and ``dt`` hold one entry per
+    point and ``jumps`` one stack of jumps per point; all points share the
+    input ``rho`` and the :func:`_sectors` partition.  The step entries of
+    every touched sector are gathered with one flat index per side, and each
+    group of sectors is raised once for all points.  Sectors with no nonzero
+    input stay exactly 0.
     """
-    mu = half_m @ u
-    lus = jumps @ u
-    out = np.zeros_like(rho)
+    n, dim = len(u), rho.shape[0]
+    touched, left, right = [], [], []
     for rows, cols in sectors:
         vec = rho[rows, cols]
         hit = vec.any(axis=1)
         if not hit.any():
             continue
         rows, cols, vec = rows[hit], cols[hit], vec[hit]
-        left = rows[:, :, None], rows[:, None, :]
-        right = cols[:, :, None], cols[:, None, :]
-        u_right = u[right].conj()
-        step = u[left] * u_right - dt * (mu[left] * u_right + u[left] * mu[right].conj())
-        for lu in lus:
-            step += dt * lu[left] * lu[right].conj()
-        out[rows, cols] = (np.linalg.matrix_power(step, n_steps) @ vec[..., None])[..., 0]
+        touched.append((rows, cols, vec))
+        left.append((rows[:, :, None] * dim + rows[:, None, :]).ravel())
+        right.append((cols[:, :, None] * dim + cols[:, None, :]).ravel())
+    out = np.zeros((n,) + rho.shape, dtype=complex)
+    if not touched:
+        return out
+    left, right = np.concatenate(left), np.concatenate(right)
+
+    def sides(op):  # A's entries and conj(B)'s in A (x) conj(B), one row per point
+        flat = op.reshape(n, dim * dim)
+        conj_side = flat[:, right]
+        return flat[:, left], np.conj(conj_side, out=conj_side)
+
+    # in place, with every product's operands in the order of the formula
+    # (with FMA, a * b and b * a can round apart)
+    dt = np.asarray(dt)[:, None]
+    u_left, u_right = sides(u)
+    step = u_left * u_right
+    m_left, m_right = sides(half_m @ u)
+    m_left *= u_right
+    np.multiply(u_left, m_right, out=m_right)
+    m_left += m_right
+    np.multiply(dt, m_left, out=m_left)
+    step -= m_left
+    del u_left, u_right, m_left, m_right
+    for lu in (jumps @ u[:, None]).swapaxes(0, 1):
+        l_left, l_right = sides(lu)
+        np.multiply(dt, l_left, out=l_left)
+        l_left *= l_right
+        step += l_left
+    start = 0
+    for rows, cols, vec in touched:
+        count, size = vec.shape
+        block = step[:, start:start + count * size * size].reshape(n, count, size, size)
+        start += count * size * size
+        out[:, rows, cols] = (np.linalg.matrix_power(block, n_steps) @ vec[..., None])[..., 0]
     return out
 
 
@@ -261,10 +302,10 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     With no jump channel the result is U rho U^dag with U = exp(-i H T), exact,
     so ``dt_steps`` has no effect ("closed_form", no steps).  With jumps it is
     that of exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
-    ("stepped"), evaluated as the ``dt_steps``-th power of the one-step map on
-    each sector of vec(rho) that the input touches (about 2 log2(dt_steps)
-    small matrix products per sector).  The state is then checked once: a
-    trace drift beyond ``StepperConfig.trace_tol``, a clearly negative
+    ("stepped"), the one-point case of :func:`stepped`: the ``dt_steps``-th
+    power of the one-step map on each sector of vec(rho) that the input
+    touches (about 2 log2(dt_steps) small matrix products per sector).  The
+    state is then checked once: a trace drift beyond ``StepperConfig.trace_tol``, a clearly negative
     eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
     """
     if total_time < 0:
@@ -279,20 +320,52 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
         return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), 0,
                             float(drift[0]), propagation)
 
-    dt = total_time / cfg.dt_steps
-    norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
-    if dt * norm > 0.1:
-        warnings.warn(
-            f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
-            "consider more dt_steps or the rotating frame",
-            RuntimeWarning, stacklevel=2)
+    mats, drift = stepped(rho.matrix, h, [channels], [total_time], cfg)
+    return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), cfg.dt_steps,
+                        float(drift[0]), propagation)
 
-    jumps, half_m = _pack_channels(channels)
-    same_block, sectors = _partition(h, half_m, jumps)
-    # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
-    u = np.where(same_block, unitary_step_matrix(h, dt), 0)
-    mat = _power_by_sector(rho.matrix, u, jumps, half_m, dt, cfg.dt_steps, sectors)
-    drift = _check_state(mat, f"after {cfg.dt_steps} steps")
-    mat = 0.5 * (mat + mat.conj().T)  # shed round-off asymmetry before wrapping
-    out = fock.DensityMatrix(space, mat, check=False)
-    return EvolveResult(out, cfg.dt_steps, float(drift), propagation)
+
+def stepped(rho: np.ndarray, h: np.ndarray,
+            channel_sets: Sequence[Sequence[LindbladChannel]], times,
+            cfg: StepperConfig = StepperConfig()) -> tuple:
+    """Exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps from
+    ``rho`` under H and the jumps of ``channel_sets[k]``, for each T =
+    ``times[k]``; :func:`evolve` with jumps is its one-point case.
+
+    Returns the stack of evolved matrices and the trace drift of each; a stack
+    in which one matrix fails the state checks raises
+    :class:`DiagnosticError`.  Points that share a sector partition (all of
+    them, unless a leak so small that its square underflows changes the zero
+    pattern) are raised together, at most ``STEP_STACK`` at a time, and a
+    point's numbers do not depend on the others in its stack.
+    """
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
+        raise PhysicsValidationError(f"total_time must be >= 0, got {times.min()}")
+    h = np.asarray(h)
+    dts = times / cfg.dt_steps
+    norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
+    for dt in dts:
+        if dt * norm > 0.1:
+            warnings.warn(
+                f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
+                "consider more dt_steps or the rotating frame",
+                RuntimeWarning, stacklevel=2)
+
+    packed = [_pack_channels(channels) for channels in channel_sets]
+    by_partition = {}
+    for k, (jumps, half_m) in enumerate(packed):
+        partition = _partition(h, half_m, jumps)
+        by_partition.setdefault(id(partition), (partition, []))[1].append(k)
+    mats = np.empty((len(times),) + rho.shape, dtype=complex)
+    for (same_block, sectors), ks in by_partition.values():
+        for start in range(0, len(ks), STEP_STACK):
+            part = ks[start:start + STEP_STACK]
+            # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
+            u = np.where(same_block, unitary_step_matrix(h, dts[part]), 0)
+            jumps = np.stack([packed[k][0] for k in part])
+            half_m = np.stack([packed[k][1] for k in part])
+            mats[part] = _power_by_sector(rho, u, jumps, half_m, dts[part], cfg.dt_steps,
+                                          sectors)
+    drift = _check_state(mats, f"after {cfg.dt_steps} steps")
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2)), drift  # shed round-off asymmetry

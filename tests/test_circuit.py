@@ -369,27 +369,28 @@ class TestClosedFormTransit:
             assert report.trace_drift <= 1e-12
 
     def test_leaky_run_is_stepped(self, space, probe, monkeypatch):
-        # every non-ideal run makes exactly one cavity-stage call: ``evolve``
-        # when leaky, a one-point ``closed_form`` stack when lossless
+        # every non-ideal run makes exactly one cavity-stage call: a one-point
+        # ``stepped`` stack when leaky, a one-point ``closed_form`` stack when
+        # lossless
         calls = []
 
-        def evolve_spy(*args, **kwargs):
-            calls.append(("evolve", len(args[2]), args[3]))
-            return lindblad.evolve(*args, **kwargs)
+        def stepped_spy(rho, h, channel_sets, times, cfg):
+            calls.append(("stepped", [len(c) for c in channel_sets], list(times)))
+            return lindblad.stepped(rho, h, channel_sets, times, cfg)
 
         def closed_form_spy(rho, h, times):
             calls.append(("closed_form", list(times)))
             return lindblad.closed_form(rho, h, times)
 
-        monkeypatch.setattr(circuit, "evolve", evolve_spy)
+        monkeypatch.setattr(circuit, "stepped", stepped_spy)
         monkeypatch.setattr(circuit, "closed_form", closed_form_spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
-        assert calls == [("evolve", 2, params.total_time)]
+        assert calls == [("stepped", [2], [params.total_time])]
         assert (report.propagation, report.n_steps) == ("stepped", 400)
         lossless = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)
         assert (lossless.propagation, lossless.n_steps) == ("closed_form", 0)
-        assert calls == [("evolve", 2, params.total_time),
+        assert calls == [("stepped", [2], [params.total_time]),
                          ("closed_form", [params.total_time])]
         circuit.run_array(probe, params, space, use_ideal_ns=True)
         assert len(calls) == 2
@@ -433,6 +434,39 @@ class TestRunBatch:
                 assert report.params is params
                 assert report_bits(report) == report_bits(alone), params
 
+    def test_leaky_slice_matches_run_array_bit_for_bit(self, space, probe, monkeypatch):
+        # one Hamiltonian: leaky points at several leaks (one so small that
+        # its square underflows, which changes the sector partition) and two
+        # step counts, more of one count than one stack holds, among lossless
+        # points and points at t = 0
+        rng = np.random.default_rng(1408)
+        slow = StepperConfig(dt_steps=250)
+        leaks = [0.0, 1e-169, 1e-4, 3e-3, 0.02, 0.1]
+        points = [SimParams(t=0.0 if k % 7 == 5 else float(rng.uniform(0.5, 100.0)),
+                            ly_over_g=leaks[k % len(leaks)], phs=int(rng.integers(2)),
+                            stepper=slow if k % 4 == 1 else FAST)
+                  for k in range(2 * lindblad.STEP_STACK + 9)]
+        calls = []
+
+        def stepped_spy(rho, h, channel_sets, times, cfg):
+            calls.append((cfg.dt_steps, len(times)))
+            return lindblad.stepped(rho, h, channel_sets, times, cfg)
+
+        monkeypatch.setattr(circuit, "stepped", stepped_spy)
+        for state in (probe, circuit.random_valid_input(space, rng, mixed=True)):
+            calls.clear()
+            batch = circuit.run_batch(state, points, space)
+            leaky = [p for p in points if p.ly_over_g and p.t]
+            # one stepped call per step count
+            assert sorted(calls) == [(slow.dt_steps, sum(p.stepper == slow for p in leaky)),
+                                     (FAST.dt_steps, sum(p.stepper == FAST for p in leaky))]
+            assert max(n for _, n in calls) > lindblad.STEP_STACK
+            assert {(r.propagation, r.n_steps) for r in batch} == {
+                ("closed_form", 0), ("stepped", 0), ("stepped", 250), ("stepped", 400)}
+            for params, report in zip(points, batch):
+                assert report_bits(report) == \
+                    report_bits(circuit.run_array(state, params, space)), params
+
     def test_one_stack_per_hamiltonian_slice(self, space, probe, monkeypatch):
         calls = []
 
@@ -444,7 +478,7 @@ class TestRunBatch:
         points = [SimParams(t=1.0 + k) for k in range(circuit.BATCH_SLICE + 6)]
         points += [SimParams(t=2.0, delta_over_g=1.0), SimParams(t=0.0)]
         circuit.run_batch(probe, points, space)
-        # t = 0 returns its input through ``evolve``
+        # a point at t = 0 keeps its input and makes no call
         assert calls == [circuit.BATCH_SLICE, 6, 1]
 
     def test_failing_point_fails_alone(self, space, probe):

@@ -128,6 +128,21 @@ class TestFirstOrderOracle:
                    total, 120)
 
 
+def block_structured_case(rng):
+    """A Hermitian H made of random blocks (shuffled: blocks need not be
+    contiguous), and one or two sparse jumps that cross the blocks."""
+    sizes = rng.integers(1, 4, size=int(rng.integers(2, 5)))
+    dim = int(sizes.sum())
+    h = np.zeros((dim, dim), dtype=complex)
+    for end, size in zip(np.cumsum(sizes), sizes):
+        h[end - size:end, end - size:end] = random_hermitian(rng, size)
+    perm = rng.permutation(dim)
+    jumps = np.zeros((int(rng.integers(1, 3)), dim, dim), dtype=complex)
+    for jump in jumps:
+        jump[rng.integers(0, dim, 2), rng.integers(0, dim, 2)] = 0.3
+    return h[np.ix_(perm, perm)], jumps
+
+
 class TestReferenceStepper:
     """``evolve``, a matrix power of each sector's block of the one-step map,
     against the explicit step loop ``oracles.trotter_steps`` at the same dt.
@@ -178,21 +193,10 @@ class TestReferenceStepper:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_block_diagonal_generator_with_crossing_jumps(self, rng):
         for _ in range(12):
-            sizes = rng.integers(1, 4, size=int(rng.integers(2, 5)))
-            dim = int(sizes.sum())
-            h = np.zeros((dim, dim), dtype=complex)
-            for end, size in zip(np.cumsum(sizes), sizes):
-                h[end - size:end, end - size:end] = random_hermitian(rng, size)
-            perm = rng.permutation(dim)  # blocks need not be contiguous
-            h = h[np.ix_(perm, perm)]
-            jumps = []
-            for _ in range(int(rng.integers(1, 3))):
-                jump = np.zeros((dim, dim), dtype=complex)
-                jump[rng.integers(0, dim, 2), rng.integers(0, dim, 2)] = 0.3
-                jumps.append(jump)
+            h, jumps = block_structured_case(rng)
             half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
-            assert len(lindblad._sectors(h, half_m, np.stack(jumps))) > 1
-            self.check(random_hermitian(rng, dim, trace_one=True), h, jumps,
+            assert len(lindblad._sectors(h, half_m, jumps)) > 1
+            self.check(random_hermitian(rng, len(h), trace_one=True), h, list(jumps),
                        rng.uniform(0.1, 5.0), int(rng.integers(1, 301)))
 
     def test_untouched_sectors_stay_exactly_zero(self, rng):
@@ -210,6 +214,63 @@ class TestReferenceStepper:
         out = self.check(rho0[shuffle], h[shuffle], [jump[shuffle]], 3.0, 400)
         second = np.argsort(perm)[4:]
         assert np.all(out[second, :] == 0) and np.all(out[:, second] == 0)
+
+
+class TestStepped:
+    """``stepped``, many points from one input, against each point alone."""
+
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    def test_stacked_power_on_non_hermitian_input(self, rng):
+        # the sector power of a stack of points (steps, leaks and dt apart),
+        # on an input that is not Hermitian, against the explicit step loop
+        for draw in range(8):
+            h, pattern = block_structured_case(rng)
+            dim = len(h)
+            n_steps = int(rng.integers(1, 301))
+            scales = rng.uniform(0.2, 2.0, size=(5, len(pattern)))
+            jumps = pattern[None] * scales[:, :, None, None]
+            half_m = 0.5 * np.einsum("pkji,pkjl->pil", jumps.conj(), jumps)
+            dts = rng.uniform(0.001, 0.05, size=5)
+            same_block, sectors = lindblad._partition(h, half_m[0], jumps[0])
+            u = np.where(same_block, lindblad.unitary_step_matrix(h, dts), 0)
+            rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            if draw % 2:  # an input that touches only some sectors
+                rho[rng.random((dim, dim)) < 0.5] = 0
+            out = lindblad._power_by_sector(rho, u, jumps, half_m, dts, n_steps, sectors)
+            for k in range(5):
+                expected = trotter_steps(rho, u[k], jumps[k], dts[k], n_steps)
+                assert np.max(np.abs(out[k] - expected)) <= 1e-12
+
+    def test_stack_matches_evolve_bit_for_bit(self, space, rng):
+        # more points than one stack holds, and one leak so small that its
+        # square underflows, which gives that point its own partition
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        rho = bs @ circuit.random_valid_input(space, rng, mixed=True).matrix @ bs.conj().T
+        leaks = [1e-170] + list(10.0 ** rng.uniform(-5.0, -2.0, lindblad.STEP_STACK + 3))
+        channel_sets = [lindblad.leak_channels(space, ly) for ly in leaks]
+        times = rng.uniform(1.0, 700.0, size=len(leaks))
+        cfg = StepperConfig(dt_steps=300)
+        partitions = {id(lindblad._partition(h, *lindblad._pack_channels(c)[::-1]))
+                      for c in channel_sets}
+        assert len(partitions) == 2
+        mats, drift = lindblad.stepped(rho, h, channel_sets, times, cfg)
+        for k, (channels, total) in enumerate(zip(channel_sets, times)):
+            alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
+            assert np.array_equal(mats[k], alone.rho.matrix)
+            assert drift[k] == alone.trace_drift
+
+    def test_failing_point_fails_the_stack(self):
+        dim = 3
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[2, 2] = 1.0
+        channels = [[LindbladChannel(c * lowering(dim))] for c in (0.01, 2.0)]
+        with pytest.raises(DiagnosticError, match="after 2 steps"):
+            lindblad.stepped(rho0, np.zeros((dim, dim)), channels, [10.0, 10.0],
+                             StepperConfig(dt_steps=2))
+        with pytest.raises(PhysicsValidationError):
+            lindblad.stepped(rho0, np.zeros((dim, dim)), channels, [1.0, -1.0])
 
 
 class TestEvolve:
