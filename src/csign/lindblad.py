@@ -149,14 +149,25 @@ def _pack_channels(channels: Sequence[LindbladChannel]):
 
 def _components(links: np.ndarray) -> np.ndarray:
     """Connected-component label (0, 1, ...) of each node of a boolean adjacency."""
-    n = links.shape[0]
-    links = links | links.T | np.eye(n, dtype=bool)
-    labels = np.arange(n)
-    while True:  # each node takes the smallest label among its neighbours
-        spread = np.where(links, labels, n).min(axis=1)
-        if np.array_equal(spread, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = spread
+    return _union(len(links), *np.nonzero(links))
+
+
+def _union(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label (0, 1, ...) of each of ``n`` nodes joined by the edges
+    (src[k], dst[k]), numbered in the order of each component's smallest node."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in zip(src.tolist(), dst.tolist()):
+        a, b = find(i), find(j)
+        if a != b:  # the smaller node stays the root of the union
+            root[max(a, b)] = min(a, b)
+    return np.unique([find(i) for i in range(n)], return_inverse=True)[1]
 
 
 def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
@@ -171,13 +182,17 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
     dim = h.shape[0]
     state_block = _components((h != 0) | (half_m != 0))
     n_blocks = state_block.max() + 1
-    member = np.zeros((dim, n_blocks), dtype=int)
-    member[np.arange(dim), state_block] = 1
-    links = np.zeros((n_blocks * n_blocks,) * 2, dtype=bool)
+    src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for jump in jumps:
-        block_links = member.T @ (jump != 0) @ member > 0
-        links |= np.kron(block_links, block_links)
-    sector = _components(links)[state_block[:, None] * n_blocks + state_block].ravel()
+        to, frm = np.nonzero(jump)
+        block_links = np.zeros((n_blocks, n_blocks), dtype=bool)
+        block_links[state_block[frm], state_block[to]] = True
+        frm, to = np.nonzero(block_links)
+        src.append(np.add.outer(frm * n_blocks, frm).ravel())
+        dst.append(np.add.outer(to * n_blocks, to).ravel())
+    block_pair_sector = _union(n_blocks * n_blocks, np.concatenate(src),
+                               np.concatenate(dst))
+    sector = block_pair_sector[state_block[:, None] * n_blocks + state_block].ravel()
     sizes = np.bincount(sector)
     flat = np.argsort(sizes[sector] * len(sizes) + sector, kind="stable")
     groups, start = [], 0
@@ -305,8 +320,9 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     ("stepped"), the one-point case of :func:`stepped`: the ``dt_steps``-th
     power of the one-step map on each sector of vec(rho) that the input
     touches (about 2 log2(dt_steps) small matrix products per sector).  The
-    state is then checked once: a trace drift beyond ``StepperConfig.trace_tol``, a clearly negative
-    eigenvalue or a non-finite entry raises :class:`DiagnosticError`.
+    state is then checked once: a trace drift beyond
+    ``StepperConfig.trace_tol``, a clearly negative eigenvalue or a non-finite
+    entry raises :class:`DiagnosticError`.
     """
     if total_time < 0:
         raise PhysicsValidationError(f"total_time must be >= 0, got {total_time}")
