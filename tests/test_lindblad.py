@@ -143,6 +143,21 @@ def block_structured_case(rng):
     return h[np.ix_(perm, perm)], jumps
 
 
+def sector_labels(sectors, dim):
+    """The sector of each entry of rho, one label per member of every kept
+    sector; -1 where no sector holds the entry, and a ValueError where two do."""
+    labels = np.full((dim, dim), -1)
+    label = 0
+    for rows, cols in sectors:
+        for sector_rows, sector_cols in zip(rows, cols):
+            for r, c in zip(sector_rows, sector_cols):
+                if np.any(labels[r, c] >= 0):
+                    raise ValueError("an entry lies in two sectors")
+                labels[r, c] = label
+                label += 1
+    return labels
+
+
 class TestReferenceStepper:
     """``evolve``, a matrix power of each sector's block of the one-step map,
     against the explicit step loop ``oracles.trotter_steps`` at the same dt.
@@ -214,6 +229,54 @@ class TestReferenceStepper:
         out = self.check(rho0[shuffle], h[shuffle], [jump[shuffle]], 3.0, 400)
         second = np.argsort(perm)[4:]
         assert np.all(out[second, :] == 0) and np.all(out[:, second] == 0)
+
+
+class TestSectors:
+    """The sector partition against the one-step map written out in full
+    (``oracles.first_order_step_superop``)."""
+
+    def cases(self, rng, space):
+        for _ in range(12):
+            yield block_structured_case(rng)
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.3), frame="rotating")
+        yield h, np.stack([c.matrix for c in lindblad.leak_channels(space, 0.01)])
+
+    def test_every_entry_in_one_sector_and_mirror_is_an_involution(self, rng, space):
+        for h, jumps in self.cases(rng, space):
+            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
+            sectors = lindblad._sectors(h, half_m, jumps)
+            labels = sector_labels(sectors, len(h))
+            assert labels.min() == 0
+            # the mirror of a sector is the sector of its transposed entries
+            mirror = {}
+            for label, image in zip(labels.ravel(), labels.T.ravel()):
+                assert mirror.setdefault(label, image) == image
+            assert all(mirror[mirror[label]] == label for label in mirror)
+            for rows, cols in sectors:
+                assert rows.shape == cols.shape and rows.shape[1] in (1, 2)
+                if rows.shape[1] == 2:  # a pair: member 1 is member 0 transposed
+                    assert np.array_equal(rows[:, 1], cols[:, 0])
+                    assert np.array_equal(cols[:, 1], rows[:, 0])
+                else:  # self-conjugate: closed under transposition
+                    for r, c in zip(rows[:, 0], cols[:, 0]):
+                        assert set(zip(r, c)) == set(zip(c, r))
+
+    def test_map_keeps_sectors_apart_and_mirror_blocks_are_conjugate(self, rng, space):
+        for h, jumps in self.cases(rng, space):
+            dim = len(h)
+            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
+            step = first_order_step_superop(lindblad.unitary_step_matrix(h, 0.37), jumps, 0.37)
+            sectors = lindblad._sectors(h, half_m, jumps)
+            vec_of = lambda r, c: c * dim + r  # column-stacked vec(rho)
+            same = sector_labels(sectors, dim).ravel(order="F")
+            outside = step[same[:, None] != same[None, :]]
+            assert np.max(np.abs(outside), initial=0.0) <= 1e-15
+            for rows, cols in sectors:
+                for r, c in zip(rows, cols):
+                    blocks = [step[np.ix_(vec_of(r[m], c[m]), vec_of(r[m], c[m]))]
+                              for m in range(len(r))]
+                    for block in blocks[1:]:
+                        assert np.max(np.abs(block - blocks[0].conj())) <= 1e-15
 
 
 class TestStepped:
