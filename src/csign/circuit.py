@@ -286,11 +286,11 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
 
     Returns one outcome per point, in order: its :class:`GateReport`, or the
     exception that the point raised.  The ideal reference and the first
-    splitter run once.  The points are grouped by Hamiltonian, in slices of
-    at most ``BATCH_SLICE``, and each slice runs as stacked calls: one
-    closed-form stack for its lossless transits, one ``stepped`` call per
-    step count for its leaky ones, then the shifter, the second splitter and
-    the scoring over the whole slice.  A transit at t = 0 keeps its input.  A slice whose stacked
+    splitter run once.  The points are grouped by Hamiltonian, that is by
+    ``(g, delta_over_g)``, in slices of at most ``BATCH_SLICE``, and each
+    slice runs as stacked calls: one closed-form stack for its lossless
+    transits, one ``stepped`` call per step count for its leaky ones, then
+    the shifter, the second splitter and the scoring over the whole slice.  A transit at t = 0 keeps its input.  A slice whose stacked
     stage raises reruns one point at a time, so a failing point fails alone,
     with the exception it raises when run alone.
 
@@ -315,9 +315,9 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
         return [exc] * len(params_seq)
     shared_ms = (time.perf_counter() - started) * 1e3 / max(1, len(params_seq))
 
-    by_hamiltonian = {}
+    by_hamiltonian = {}  # (g, delta_over_g) fixes the Hamiltonian
     for k, params in enumerate(params_seq):
-        by_hamiltonian.setdefault(params.phys, []).append(k)
+        by_hamiltonian.setdefault((params.g, params.delta_over_g), []).append(k)
     outcomes = [None] * len(params_seq)
     for ks in by_hamiltonian.values():
         for start in range(0, len(ks), BATCH_SLICE):
@@ -371,7 +371,8 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
         mats[:] = ns @ stage_in @ ns.conj().T
         return mats, drift, phi, paths
 
-    h = build_array_hamiltonian(space, params_seq[0].phys, frame="rotating")
+    phys = params_seq[0].phys
+    h = build_array_hamiltonian(space, phys, frame="rotating")
     closed, leaky = [], {}
     for k, params in enumerate(params_seq):
         channels = leak_channels(space, params.ly_over_g * params.g)
@@ -383,7 +384,7 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
         else:
             closed.append(k)
         if params.phs:
-            phi[k] = compensating_phase(params.phys, params.total_time)
+            phi[k] = compensating_phase(phys, params.total_time)
     if closed:
         times = [params_seq[k].total_time for k in closed]
         mats[closed], drift[closed] = closed_form(stage_in, h, times)

@@ -481,6 +481,26 @@ class TestRunBatch:
         # a point at t = 0 keeps its input and makes no call
         assert calls == [circuit.BATCH_SLICE, 6, 1]
 
+    def test_one_phys_params_per_slice(self, space, probe, monkeypatch):
+        # the Hamiltonian and the shifter angle of a slice share one PhysParams
+        built = []
+
+        class CountedPhysParams(jc.PhysParams):
+            def __post_init__(self):
+                built.append(self.delta)
+                super().__post_init__()
+
+        monkeypatch.setattr(circuit, "PhysParams", CountedPhysParams)
+        points = [SimParams(t=1.0 + k, ly_over_g=0.01 if k % 5 == 2 else 0.0, stepper=FAST)
+                  for k in range(circuit.BATCH_SLICE + 6)]
+        points.insert(3, SimParams(t=2.0, delta_over_g=1.0))
+        batch = circuit.run_batch(probe, points, space)
+        assert all(isinstance(report, circuit.GateReport) for report in batch)
+        assert sorted(built) == [0.0, 0.0, 0.1]
+        built.clear()
+        circuit.run_batch(probe, points, space, use_ideal_ns=True)
+        assert built == []
+
     def test_failing_point_fails_alone(self, space, probe):
         bad = SimParams(t=150.0, ly_over_g=1.0, stepper=StepperConfig(dt_steps=1))
         good = [SimParams(t=3.0), SimParams(t=7.0, ly_over_g=0.01, stepper=FAST),
