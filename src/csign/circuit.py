@@ -4,8 +4,9 @@ Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
 simultaneously for the gate duration (``lindblad.closed_form``, the exact
 exponential, when lossless; ``lindblad.stepped``, trotterized
-master-equation evolution, with photon leak), an optional compensating phase shifter acts on both cavity rails at
-the angle ``jc.compensating_phase``, and a second beamsplitter recombines.
+master-equation evolution, with photon leak), an optional compensating
+phase shifter acts on both cavity rails at the angle
+``jc.compensating_phase``, and a second beamsplitter recombines.
 The two-photon bunching of the first beamsplitter is what routes the |11>
 input through the cavity nonlinearity.
 
@@ -290,9 +291,10 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     ``(g, delta_over_g)``, in slices of at most ``BATCH_SLICE``, and each
     slice runs as stacked calls: one closed-form stack for its lossless
     transits, one ``stepped`` call per step count for its leaky ones, then
-    the shifter, the second splitter and the scoring over the whole slice.  A transit at t = 0 keeps its input.  A slice whose stacked
-    stage raises reruns one point at a time, so a failing point fails alone,
-    with the exception it raises when run alone.
+    the shifter, the second splitter and the scoring over the whole slice.
+    A transit at t = 0 keeps its input.  A slice whose stacked stage raises
+    reruns one point at a time, so a failing point fails alone, with the
+    exception it raises when run alone.
 
     The cavity stage runs in the frame rotating at the cavity frequency,
     which is exact here: the total excitation N commutes with H and each

@@ -30,9 +30,10 @@ input touches need 24 powers.
 
 ``stepped`` runs many leaky points from one input as stacks: the step
 entries of all touched sectors are gathered at once, and each group of
-equally sized sectors is raised for all points of a stack in one call.  On
-this model a small matrix product costs mostly per call, not per matrix, so
-a point's share of an eight-point stack costs about half a lone point.
+sectors (one size, paired or self-conjugate) is raised for all points of a
+stack in one call.  On this model a small matrix product costs mostly per
+call, not per matrix, so a point's share of an eight-point stack costs less
+than half of what a lone point costs.
 
 The spectrum of H (cached by H's bytes) and the sector partition (cached by
 the zero patterns) are shared by every point of a sweep at one H.

@@ -247,6 +247,7 @@ class TestSectors:
             sectors = lindblad._sectors(h, half_m, jumps)
             labels = sector_labels(sectors, len(h))
             assert labels.min() == 0
+            assert sum(rows.size for rows, _ in sectors) == labels.size
             # the mirror of a sector is the sector of its transposed entries
             mirror = {}
             for label, image in zip(labels.ravel(), labels.T.ravel()):
