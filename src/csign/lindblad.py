@@ -207,6 +207,7 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
     mirror = sector.T.ravel()  # the sector of each entry's transpose
     sector = sector.ravel()
     kept = np.flatnonzero(sector <= mirror)  # one sector of each transposed pair
+    # a kept entry's group is 2 * its sector's size + 1 if the sector has a mirror
     group = 2 * np.bincount(sector)[sector[kept]] + (sector[kept] < mirror[kept])
     flat = kept[np.argsort(group * len(sector) + sector[kept], kind="stable")]
     groups, start = [], 0
