@@ -363,7 +363,8 @@ def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
     """Each point's state after the cavity stage, as one stack, with its trace
     drift, shifter angle and (propagation, n_steps).  The lossless transits
     run as one ``closed_form`` stack and the leaky ones as one ``stepped``
-    stack per step count; a point at t = 0 keeps its input."""
+    call per step count, which takes one sector partition for all its leaks;
+    a point at t = 0 keeps its input."""
     n = len(params_seq)
     mats = np.empty((n,) + stage_in.shape, dtype=complex)
     drift, phi = np.zeros(n), np.zeros(n)

@@ -24,16 +24,16 @@ the ``dt_steps``-th power by repeated squaring: ``dt_steps`` still fixes the
 numbers, but costs about 2 log2(dt_steps) small matrix products.  Every term
 A X B is written as (B^T kron A) vec(X) (Havel, J. Math. Phys. 44, 534
 (2003)), restricted to one sector, so the d^2 x d^2 map is never formed.
-The transpose of a sector is a sector whose block is the complex conjugate,
-entry for entry, so one power serves both; on ``p_test`` the 44 sectors the
-input touches need 24 powers.
+The transpose of a sector is a sector, its partner, whose block is the
+complex conjugate, entry for entry, so one power serves both; on ``p_test``
+the 44 sectors the input touches need 24 powers.
 
-``stepped`` runs many leaky points from one input as stacks: the step
-entries of all touched sectors are gathered at once, and each group of
-sectors (one size, paired or self-conjugate) is raised for all points of a
-stack in one call.  On this model a small matrix product costs mostly per
-call, not per matrix, so a point's share of an eight-point stack costs less
-than half of what a lone point costs.
+``stepped`` runs many leaky points from one input on one sector partition
+and gathers the step entries of all touched sectors at once; all sectors of
+one size are raised for all points of a stack in one call (six on
+``p_test``).  On this model a small matrix product costs mostly per call,
+not per matrix, so a point's share of an eight-point stack costs less than
+half of what a lone point costs.
 
 The spectrum of H (cached by H's bytes) and the sector partition (cached by
 the zero patterns) are shared by every point of a sweep at one H.
@@ -182,13 +182,13 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
     ``half_m`` terms keep an entry (i, j) inside its block pair.  A jump
     carries block pair (C, D) to (A, B) when it links C to A and D to B.
 
-    The transpose S* of a sector S (the entries (j, i) of its (i, j)) is a
-    sector too, and its block of the one-step map is conj of that of S, entry
-    for entry.  So only one sector of each such pair is kept, with its mirror
-    as a second member.  Returns one (rows, cols) pair of index arrays per
-    sector size and member count, each of shape (sectors, members, size):
-    member 0 lists a sector's entries and member 1, when present, the
-    transposed entries in the same order.
+    The transpose of a sector S (the entries (j, i) of its (i, j)) is a
+    sector too, S's partner, and its block of the one-step map is conj of
+    that of S, entry for entry.  So only one sector of each pair is kept.
+    Returns one (rows, cols, paired) per sector size: sector k holds the
+    entries (rows[k], cols[k]), both of shape (sectors, size), and
+    ``paired[k]`` is true when its partner (cols[k], rows[k]) is a different
+    sector, false when the sector is its own transpose.
     """
     dim = h.shape[0]
     state_block = _components((h != 0) | (half_m != 0))
@@ -204,31 +204,30 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
     block_pair_sector = _union(n_blocks * n_blocks, np.concatenate(src),
                                np.concatenate(dst))
     sector = block_pair_sector[state_block[:, None] * n_blocks + state_block]
-    mirror = sector.T.ravel()  # the sector of each entry's transpose
+    partner = sector.T.ravel()  # the sector of each entry's transpose
     sector = sector.ravel()
-    kept = np.flatnonzero(sector <= mirror)  # one sector of each transposed pair
-    # a kept entry's group is 2 * its sector's size + 1 if the sector has a mirror
-    group = 2 * np.bincount(sector)[sector[kept]] + (sector[kept] < mirror[kept])
-    flat = kept[np.argsort(group * len(sector) + sector[kept], kind="stable")]
+    kept = np.flatnonzero(sector <= partner)  # one sector of each pair
+    sizes = np.bincount(sector)[sector[kept]]
+    flat = kept[np.argsort(sizes * len(sector) + sector[kept], kind="stable")]
     groups, start = [], 0
-    for key, count in zip(*np.unique(group, return_counts=True)):
-        size, paired = divmod(int(key), 2)
-        rows, cols = np.divmod(flat[start:start + count].reshape(-1, 1, size), dim)
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        entries = flat[start:start + count].reshape(-1, size)
         start += count
-        if paired:
-            rows, cols = np.concatenate([rows, cols], 1), np.concatenate([cols, rows], 1)
-        groups.append((rows, cols))
+        first = entries[:, 0]
+        groups.append((*np.divmod(entries, dim), sector[first] < partner[first]))
     return groups
 
 
 def _partition(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
-    """The mask of state pairs inside one block of H, and :func:`_sectors`.
-
-    Both depend only on the zero patterns of H, ``half_m`` and the jumps,
-    which every point of a leak sweep shares, so they are cached by those.
-    """
-    return _partition_of(len(h), len(jumps), (h != 0).tobytes(),
-                         (half_m != 0).tobytes(), (jumps != 0).tobytes())
+    """The mask of state pairs inside one block of H, and the :func:`_sectors`
+    of the union of the zero patterns of ``half_m`` and the jumps over a stack
+    of points, equal to or coarser than each point's own.  Both are cached by
+    the zero patterns, which every point of a leak sweep shares."""
+    dim, n_jumps = h.shape[0], jumps.shape[-3]
+    m_nz = (half_m != 0).reshape(-1, dim, dim).any(axis=0)
+    jumps_nz = (jumps != 0).reshape(-1, n_jumps, dim, dim).any(axis=0)
+    return _partition_of(dim, n_jumps, (h != 0).tobytes(), m_nz.tobytes(),
+                         jumps_nz.tobytes())
 
 
 @lru_cache(maxsize=16)
@@ -236,14 +235,14 @@ def _partition_of(dim: int, n_jumps: int, h_nz: bytes, m_nz: bytes, jumps_nz: by
     h_nz, m_nz = (np.frombuffer(nz, dtype=bool).reshape(dim, dim) for nz in (h_nz, m_nz))
     jumps_nz = np.frombuffer(jumps_nz, dtype=bool).reshape(n_jumps, dim, dim)
     h_block = _components(h_nz)
-    sectors = tuple(tuple(fock.frozen(ix) for ix in pair)
-                    for pair in _sectors(h_nz, m_nz, jumps_nz))
+    sectors = tuple(tuple(fock.frozen(ix) for ix in group)
+                    for group in _sectors(h_nz, m_nz, jumps_nz))
     return fock.frozen(h_block[:, None] == h_block), sectors
 
 
 def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
-    """``n_steps`` first-order steps of each point of a stack, as a matrix
-    power of each sector's block of
+    """``n_steps`` first-order steps of each point, as a matrix power of each
+    sector's block of
 
         Phi = U (x) conj(U) - dt [(M U) (x) conj(U) + U (x) conj(M U)]
               + dt sum_k (L_k U) (x) conj(L_k U),
@@ -251,60 +250,61 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
     where the entry of A (x) conj(B) between (a, b) and (i, j) is
     A[a, i] conj(B[b, j]).  ``u``, ``half_m`` and ``dt`` hold one entry per
     point and ``jumps`` one stack of jumps per point; all points share the
-    input ``rho`` and the :func:`_sectors` partition.  The step entries of
-    every touched sector are gathered with one flat index per side, and each
-    group of sectors is raised once for all points.  A sector's mirror takes
-    conj of its power, applied to the mirror's own input entries, so an input
-    that is not Hermitian evolves right too.  Sectors with no nonzero input
-    stay exactly 0.
+    input ``rho`` and the :func:`_sectors` layout.  The touched sectors (those
+    that hold a nonzero input entry, or whose partner does) and one flat index
+    per side that gathers their step entries are found once.  Then, for each
+    stack of at most ``STEP_STACK`` points, each sector size is raised in one
+    call.  A partner takes conj of its sector's power, applied to the
+    partner's own input entries, so an input that is not Hermitian evolves
+    right too.  Untouched sectors stay exactly 0.
     """
     n, dim = len(u), rho.shape[0]
     touched, left, right = [], [], []
-    for rows, cols in sectors:
-        vec = rho[rows, cols]
-        hit = vec.any(axis=(1, 2))
-        if not hit.any():
-            continue
-        rows, cols, vec = rows[hit], cols[hit], vec[hit]
-        touched.append((rows, cols, vec))
-        left.append((rows[:, 0, :, None] * dim + rows[:, 0, None, :]).ravel())
-        right.append((cols[:, 0, :, None] * dim + cols[:, 0, None, :]).ravel())
+    for rows, cols, paired in sectors:
+        hit = rho[rows, cols].any(axis=1) | rho[cols, rows].any(axis=1)
+        if hit.any():
+            rows, cols = rows[hit], cols[hit]
+            touched.append((rows, cols, paired[hit]))
+            left.append((rows[:, :, None] * dim + rows[:, None, :]).ravel())
+            right.append((cols[:, :, None] * dim + cols[:, None, :]).ravel())
     out = np.zeros((n,) + rho.shape, dtype=complex)
     if not touched:
         return out
     left, right = np.concatenate(left), np.concatenate(right)
 
     def sides(op):  # A's entries and conj(B)'s in A (x) conj(B), one row per point
-        flat = op.reshape(n, dim * dim)
+        flat = op.reshape(len(op), dim * dim)
         conj_side = flat[:, right]
         return flat[:, left], np.conj(conj_side, out=conj_side)
 
-    # in place, with every product's operands in the order of the formula
-    # (with FMA, a * b and b * a can round apart)
     dt = np.asarray(dt)[:, None]
-    u_left, u_right = sides(u)
-    step = u_left * u_right
-    m_left, m_right = sides(half_m @ u)
-    m_left *= u_right
-    np.multiply(u_left, m_right, out=m_right)
-    m_left += m_right
-    np.multiply(dt, m_left, out=m_left)
-    step -= m_left
-    del u_left, u_right, m_left, m_right
-    for lu in (jumps @ u[:, None]).swapaxes(0, 1):
-        l_left, l_right = sides(lu)
-        np.multiply(dt, l_left, out=l_left)
-        l_left *= l_right
-        step += l_left
-    start = 0
-    for rows, cols, vec in touched:
-        count, members, size = vec.shape
-        block = step[:, start:start + count * size * size].reshape(n, count, 1, size, size)
-        start += count * size * size
-        power = np.linalg.matrix_power(block, n_steps)
-        if members == 2:
-            power = np.concatenate([power, power.conj()], axis=2)
-        out[:, rows, cols] = (power @ vec[..., None])[..., 0]
+    for start in range(0, n, STEP_STACK):
+        part = slice(start, start + STEP_STACK)
+        # in place, with every product's operands in the order of the formula
+        # (with FMA, a * b and b * a can round apart)
+        u_left, u_right = sides(u[part])
+        step = u_left * u_right
+        m_left, m_right = sides(half_m[part] @ u[part])
+        m_left *= u_right
+        np.multiply(u_left, m_right, out=m_right)
+        m_left += m_right
+        np.multiply(dt[part], m_left, out=m_left)
+        step -= m_left
+        del u_left, u_right, m_left, m_right
+        for lu in (jumps[part] @ u[part, None]).swapaxes(0, 1):
+            l_left, l_right = sides(lu)
+            np.multiply(dt[part], l_left, out=l_left)
+            l_left *= l_right
+            step += l_left
+        at = 0
+        for rows, cols, paired in touched:
+            count, size = rows.shape
+            block = step[:, at:at + count * size * size].reshape(-1, count, size, size)
+            at += count * size * size
+            power = np.linalg.matrix_power(block, n_steps)
+            out[part, rows, cols] = (power @ rho[rows, cols][..., None])[..., 0]
+            rows, cols, power = rows[paired], cols[paired], power[:, paired].conj()
+            out[part, cols, rows] = (power @ rho[cols, rows][..., None])[..., 0]
     return out
 
 
@@ -371,12 +371,13 @@ def stepped(rho: np.ndarray, h: np.ndarray,
     ``rho`` under H and the jumps of ``channel_sets[k]``, for each T =
     ``times[k]``; :func:`evolve` with jumps is its one-point case.
 
-    Returns the stack of evolved matrices and the trace drift of each; a stack
+    Returns the stack of evolved matrices and the trace drift of each; a call
     in which one matrix fails the state checks raises
-    :class:`DiagnosticError`.  Points that share a sector partition (all of
-    them, unless a leak so small that its square underflows changes the zero
-    pattern) are raised together, at most ``STEP_STACK`` at a time, and a
-    point's numbers do not depend on the others in its stack.
+    :class:`DiagnosticError`.  Every channel set holds the same number of
+    jumps (two in every call of the pipeline).  All points take the
+    :func:`_partition` of their union zero pattern; for the leaks of
+    :func:`leak_channels` it is each point's own (L^dag L is diagonal and
+    links no two states), so a point's numbers do not depend on the others.
     """
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
@@ -391,20 +392,10 @@ def stepped(rho: np.ndarray, h: np.ndarray,
                 "consider more dt_steps or the rotating frame",
                 RuntimeWarning, stacklevel=2)
 
-    packed = [_pack_channels(channels) for channels in channel_sets]
-    by_partition = {}
-    for k, (jumps, half_m) in enumerate(packed):
-        partition = _partition(h, half_m, jumps)
-        by_partition.setdefault(id(partition), (partition, []))[1].append(k)
-    mats = np.empty((len(times),) + rho.shape, dtype=complex)
-    for (same_block, sectors), ks in by_partition.values():
-        for start in range(0, len(ks), STEP_STACK):
-            part = ks[start:start + STEP_STACK]
-            # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
-            u = np.where(same_block, unitary_step_matrix(h, dts[part]), 0)
-            jumps = np.stack([packed[k][0] for k in part])
-            half_m = np.stack([packed[k][1] for k in part])
-            mats[part] = _power_by_sector(rho, u, jumps, half_m, dts[part], cfg.dt_steps,
-                                          sectors)
+    jumps, half_m = (np.stack(arrays) for arrays in zip(*map(_pack_channels, channel_sets)))
+    same_block, sectors = _partition(h, half_m, jumps)
+    # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
+    u = np.where(same_block, unitary_step_matrix(h, dts), 0)
+    mats = _power_by_sector(rho, u, jumps, half_m, dts, cfg.dt_steps, sectors)
     drift = _check_state(mats, f"after {cfg.dt_steps} steps")
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2)), drift  # shed round-off asymmetry

@@ -33,6 +33,9 @@ AXIS_DOMAINS = {
     "phs": (0.0, 1.0),
 }
 
+#: most points in a grid, and most values on a range axis: past it is a typo, not a sweep
+MAX_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -66,6 +69,11 @@ class Axis:
         if step <= 0:
             raise PhysicsValidationError(f"axis {name}: step must be positive")
         start_d, stop_d, step_d = (Decimal(repr(float(x))) for x in (start, stop, step))
+        # on the rounded quotient: // raises if the whole one needs over 28 digits
+        if (stop_d - start_d) / step_d >= MAX_POINTS:
+            raise PhysicsValidationError(
+                f"axis {name}: start {start}, stop {stop} and step {step} give more "
+                f"than {MAX_POINTS} values")
         n = int((stop_d - start_d) // step_d) + 1 if stop_d >= start_d else 0
         return cls(name, tuple(float(start_d + k * step_d) for k in range(n)))
 
@@ -85,6 +93,10 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise PhysicsValidationError(f"duplicate sweep axes: {names}")
+        points = math.prod(len(a.values) for a in self.axes)
+        if points > MAX_POINTS:
+            raise PhysicsValidationError(
+                f"the grid has {points} points, more than {MAX_POINTS}")
         if self.input_state not in INPUT_SELECTORS:
             raise PhysicsValidationError(
                 f"input selector must be one of {INPUT_SELECTORS}, got {self.input_state!r}")

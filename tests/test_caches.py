@@ -121,8 +121,8 @@ class TestPartitionCache:
             mask, sectors = cached
             assert np.array_equal(mask, expected[0])
             assert len(sectors) == len(expected[1])
-            for (rows, cols), (rows_x, cols_x) in zip(sectors, expected[1]):
-                assert np.array_equal(rows, rows_x) and np.array_equal(cols, cols_x)
+            for group, group_x in zip(sectors, expected[1]):
+                assert all(np.array_equal(ix, ix_x) for ix, ix_x in zip(group, group_x))
 
         first = lindblad._partition(h, half_m, jumps)
         same(first, fresh(h))
@@ -134,6 +134,12 @@ class TestPartitionCache:
         same(second, fresh(linked))
         assert second[0].sum() > first[0].sum()
         same(lindblad._partition(h, half_m, jumps), fresh(h))
+        # a stack of points is cached by the union of their zero patterns
+        other = np.zeros_like(jumps)
+        other[0, 4, 3] = 0.2
+        other_m = 0.5 * other[0].conj().T @ other[0]
+        union = lindblad._partition(h, np.stack([half_m, other_m]), np.stack([jumps, other]))
+        assert union is lindblad._partition(h, half_m + other_m, jumps + other)
 
 
 class TestReadOnly:
@@ -151,7 +157,7 @@ class TestReadOnly:
         ]
         arrays += [ix for block in fock._atom_blocks(space) for pair in block for ix in pair]
         arrays += list(fock._logical_block(space))
-        arrays += [ix for pair in sectors for ix in pair]
+        arrays += [ix for group in sectors for ix in group]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):

@@ -436,7 +436,7 @@ class TestRunBatch:
 
     def test_leaky_slice_matches_run_array_bit_for_bit(self, space, probe, monkeypatch):
         # one Hamiltonian: leaky points at several leaks (one so small that
-        # its square underflows, which changes the sector partition) and two
+        # its square underflows to 0 in half_m) and two
         # step counts, more of one count than one stack holds, among lossless
         # points and points at t = 0
         rng = np.random.default_rng(1408)

@@ -252,6 +252,22 @@ class TestExitCodes:
         assert "must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axes", [
+        "    - name: t\n      start: 0.0\n      stop: 200.0\n      step: 1.0e-9\n",
+        # 400 x 321 values: each axis is small, the grid is not
+        "    - name: t\n      start: 0.0\n      stop: 199.5\n      step: 0.5\n"
+        "    - name: delta_over_g\n      start: -10.0\n      stop: 10.0\n"
+        "      step: 0.0625\n",
+    ], ids=["axis", "grid"])
+    def test_oversized_sweep_exits_3(self, capsys, tmp_path, axes):
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("sweep:\n  axes:\n" + axes)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert "more than 100000" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--t", "150",

@@ -144,18 +144,25 @@ def block_structured_case(rng):
 
 
 def sector_labels(sectors, dim):
-    """The sector of each entry of rho, one label per member of every kept
-    sector; -1 where no sector holds the entry, and a ValueError where two do."""
+    """The sector of each entry of rho: one label for every kept sector and
+    one more for its partner when it is paired; -1 where no sector holds the
+    entry, and a ValueError where two do."""
     labels = np.full((dim, dim), -1)
     label = 0
-    for rows, cols in sectors:
-        for sector_rows, sector_cols in zip(rows, cols):
-            for r, c in zip(sector_rows, sector_cols):
-                if np.any(labels[r, c] >= 0):
+    for rows, cols, paired in sectors:
+        for r, c, p in zip(rows, cols, paired):
+            for entries in ((r, c), (c, r)) if p else ((r, c),):
+                if np.any(labels[entries] >= 0):
                     raise ValueError("an entry lies in two sectors")
-                labels[r, c] = label
+                labels[entries] = label
                 label += 1
     return labels
+
+
+def partition_bytes(partition):
+    """The bytes of every array of a :func:`lindblad._partition` result."""
+    mask, sectors = partition
+    return tuple((ix.shape, ix.tobytes()) for ix in (mask, *sum(sectors, ())))
 
 
 class TestReferenceStepper:
@@ -232,37 +239,37 @@ class TestReferenceStepper:
 
 
 class TestSectors:
-    """The sector partition against the one-step map written out in full
+    """The sector layout against the one-step map written out in full
     (``oracles.first_order_step_superop``)."""
 
     def cases(self, rng, space):
         for _ in range(12):
             yield block_structured_case(rng)
-        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.3), frame="rotating")
-        yield h, np.stack([c.matrix for c in lindblad.leak_channels(space, 0.01)])
+        # detuned, and resonant with a leak whose square underflows in half_m
+        for delta, ly in ((0.3, 0.01), (0.479975, 0.01), (0.0, 1e-170)):
+            h = dynamics.build_array_hamiltonian(space, PhysParams(delta=delta),
+                                                 frame="rotating")
+            yield h, np.stack([c.matrix for c in lindblad.leak_channels(space, ly)])
 
-    def test_every_entry_in_one_sector_and_mirror_is_an_involution(self, rng, space):
+    def test_every_entry_once_and_paired_iff_partner_is_another_sector(self, rng, space):
         for h, jumps in self.cases(rng, space):
             half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
             sectors = lindblad._sectors(h, half_m, jumps)
             labels = sector_labels(sectors, len(h))
             assert labels.min() == 0
-            assert sum(rows.size for rows, _ in sectors) == labels.size
-            # the mirror of a sector is the sector of its transposed entries
-            mirror = {}
+            sizes = [rows.shape[1] for rows, _, _ in sectors]
+            assert len(set(sizes)) == len(sizes)  # one group per size
+            # the transposed entries of a sector all lie in one sector, its partner
+            partner = {}
             for label, image in zip(labels.ravel(), labels.T.ravel()):
-                assert mirror.setdefault(label, image) == image
-            assert all(mirror[mirror[label]] == label for label in mirror)
-            for rows, cols in sectors:
-                assert rows.shape == cols.shape and rows.shape[1] in (1, 2)
-                if rows.shape[1] == 2:  # a pair: member 1 is member 0 transposed
-                    assert np.array_equal(rows[:, 1], cols[:, 0])
-                    assert np.array_equal(cols[:, 1], rows[:, 0])
-                else:  # self-conjugate: closed under transposition
-                    for r, c in zip(rows[:, 0], cols[:, 0]):
-                        assert set(zip(r, c)) == set(zip(c, r))
+                assert partner.setdefault(label, image) == image
+            assert all(partner[partner[label]] == label for label in partner)
+            for rows, cols, paired in sectors:
+                assert rows.shape == cols.shape == paired.shape + (rows.shape[1],)
+                for r, c, p in zip(rows, cols, paired):
+                    assert (partner[labels[r[0], c[0]]] != labels[r[0], c[0]]) == p
 
-    def test_map_keeps_sectors_apart_and_mirror_blocks_are_conjugate(self, rng, space):
+    def test_map_keeps_sectors_apart_and_partner_blocks_are_conjugate(self, rng, space):
         for h, jumps in self.cases(rng, space):
             dim = len(h)
             half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
@@ -272,12 +279,11 @@ class TestSectors:
             same = sector_labels(sectors, dim).ravel(order="F")
             outside = step[same[:, None] != same[None, :]]
             assert np.max(np.abs(outside), initial=0.0) <= 1e-15
-            for rows, cols in sectors:
-                for r, c in zip(rows, cols):
-                    blocks = [step[np.ix_(vec_of(r[m], c[m]), vec_of(r[m], c[m]))]
-                              for m in range(len(r))]
-                    for block in blocks[1:]:
-                        assert np.max(np.abs(block - blocks[0].conj())) <= 1e-15
+            for rows, cols, paired in sectors:
+                for r, c in zip(rows[paired], cols[paired]):
+                    block = step[np.ix_(vec_of(r, c), vec_of(r, c))]
+                    partner = step[np.ix_(vec_of(c, r), vec_of(c, r))]
+                    assert np.max(np.abs(partner - block.conj())) <= 1e-15
 
 
 class TestStepped:
@@ -296,7 +302,7 @@ class TestStepped:
             jumps = pattern[None] * scales[:, :, None, None]
             half_m = 0.5 * np.einsum("pkji,pkjl->pil", jumps.conj(), jumps)
             dts = rng.uniform(0.001, 0.05, size=5)
-            same_block, sectors = lindblad._partition(h, half_m[0], jumps[0])
+            same_block, sectors = lindblad._partition(h, half_m, jumps)
             u = np.where(same_block, lindblad.unitary_step_matrix(h, dts), 0)
             rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             if draw % 2:  # an input that touches only some sectors
@@ -308,7 +314,8 @@ class TestStepped:
 
     def test_stack_matches_evolve_bit_for_bit(self, space, rng):
         # more points than one stack holds, and one leak so small that its
-        # square underflows, which gives that point its own partition
+        # square underflows: its half_m has its own zero pattern, but the
+        # partition of the stack's union pattern is the same as its own
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ circuit.random_valid_input(space, rng, mixed=True).matrix @ bs.conj().T
@@ -316,14 +323,39 @@ class TestStepped:
         channel_sets = [lindblad.leak_channels(space, ly) for ly in leaks]
         times = rng.uniform(1.0, 700.0, size=len(leaks))
         cfg = StepperConfig(dt_steps=300)
-        partitions = {id(lindblad._partition(h, *lindblad._pack_channels(c)[::-1]))
-                      for c in channel_sets}
-        assert len(partitions) == 2
+        jumps, half_m = (np.stack(a) for a in zip(*map(lindblad._pack_channels, channel_sets)))
+        partitions = [lindblad._partition(h, half_m, jumps)]
+        partitions += [lindblad._partition(h, m, j) for j, m in zip(jumps, half_m)]
+        assert len({id(partition) for partition in partitions}) == 2
+        assert len({partition_bytes(partition) for partition in partitions}) == 1
         mats, drift = lindblad.stepped(rho, h, channel_sets, times, cfg)
         for k, (channels, total) in enumerate(zip(channel_sets, times)):
             alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
             assert np.array_equal(mats[k], alone.rho.matrix)
             assert drift[k] == alone.trace_drift
+
+    def test_one_matrix_power_per_touched_size_per_stack(self, space, probe, monkeypatch):
+        # p_test touches sectors of six sizes, two stacks of them: 12 calls
+        h = dynamics.build_array_hamiltonian(space, PhysParams(), frame="rotating")
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        rho = bs @ probe.matrix @ bs.conj().T
+        channels = lindblad.leak_channels(space, 1e-3)
+        _, sectors = lindblad._partition(h, *lindblad._pack_channels(channels)[::-1])
+        touched = {rows.shape[1] for rows, cols, _ in sectors
+                   if (rho[rows, cols].any(axis=1) | rho[cols, rows].any(axis=1)).any()}
+        assert len(touched) == 6
+        calls = []
+        power = np.linalg.matrix_power
+
+        def power_spy(a, n):
+            calls.append(a.shape[-1])
+            return power(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", power_spy)
+        n = lindblad.STEP_STACK + 3
+        lindblad.stepped(rho, h, [channels] * n, np.linspace(10.0, 300.0, n),
+                         StepperConfig(dt_steps=200))
+        assert sorted(calls) == sorted(list(touched) * 2)
 
     def test_failing_point_fails_the_stack(self):
         dim = 3

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from csign import circuit, cli, sweep
 from csign.circuit import SimParams
 from csign.errors import PhysicsValidationError
 from csign.lindblad import StepperConfig
+from csign.runio import atomic_write
 from csign.sweep import Axis, SweepRecord, SweepSpec
 
 from oracles import csign_zero_leak_error
@@ -54,6 +56,23 @@ class TestAxis:
 
     def test_empty_axis_allowed(self):
         assert Axis("t", ()).values == ()
+
+    @pytest.mark.parametrize("step", [0.002, 1.0e-9, 5e-324])
+    def test_over_fine_range_rejected_before_building(self, step):
+        # 200 / 0.002 gives 100_001 values; the others would hang or overflow
+        with pytest.raises(PhysicsValidationError, match="more than 100000 values"):
+            Axis.from_range("t", 0.0, 200.0, step)
+
+    def test_bounds_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_POINTS", 10)
+        assert len(Axis.from_range("t", 0.0, 4.5, 0.5).values) == 10
+        with pytest.raises(PhysicsValidationError, match="more than 10 values"):
+            Axis.from_range("t", 0.0, 5.0, 0.5)
+        axes = [Axis("t", (1.0, 2.0, 3.0, 4.0, 5.0)), Axis("phs", (0.0, 1.0))]
+        assert len(SweepSpec(axes=tuple(axes), base=FAST_BASE).grid()) == 10
+        axes[0] = Axis("t", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        with pytest.raises(PhysicsValidationError, match="12 points, more than 10"):
+            SweepSpec(axes=tuple(axes), base=FAST_BASE)
 
 
 class TestSweepSpec:
@@ -304,6 +323,19 @@ class TestSerialization:
         header = p1.read_text().splitlines()[0]
         assert header == "t,delta_over_g,ly_over_g,phs,error,trace_drift"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_output_mode_matches_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "atomic.csv"), "x\n")
+            with open(tmp_path / "plain.csv", "w") as handle:
+                handle.write("x\n")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("atomic.csv", "plain.csv")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
 
     def test_failed_record_row_is_nan(self):
         row = record(1.0, float("nan"), status="failed").csv_row()
