@@ -2,11 +2,11 @@
 
 Pipeline (left to right): an instant balanced beamsplitter mixes the two
 cavity rails, both cavities then run their nonlinear-sign stage
-simultaneously for the gate duration (``lindblad.closed_form``, the exact
-exponential, when lossless; ``lindblad.stepped``, trotterized
-master-equation evolution, with photon leak), an optional compensating
-phase shifter acts on both cavity rails at the angle
-``jc.compensating_phase``, and a second beamsplitter recombines.
+simultaneously for the gate duration (``lindblad.transit``: the exact
+exponential when lossless, trotterized master-equation evolution with
+photon leak), an optional compensating phase shifter acts on both cavity
+rails at the angle ``jc.compensating_phase``, and a second beamsplitter
+recombines.
 The two-photon bunching of the first beamsplitter is what routes the |11>
 input through the cavity nonlinearity.
 
@@ -34,7 +34,7 @@ from . import fock
 from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
-from .lindblad import StepperConfig, closed_form, leak_channels, stepped
+from .lindblad import StepperConfig, _check_state, leak_channels, transit
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 #: most points of one Hamiltonian that run as one stack; bounds a batch's memory
@@ -92,7 +92,8 @@ class GateReport:
     ``n_steps`` counts its trotter steps (0 unless stepped).  A stepped run
     reports ``dt_steps`` steps: its numbers are those of that many
     first-order steps, even though ``lindblad.stepped`` evaluates them as a
-    matrix power.
+    matrix power.  ``trace_drift`` is |tr - 1| of the state after the cavity
+    stage, measured on every path, the ideal-sign one included.
     ``wall_ms`` is the run's wall time; a point of a :func:`run_batch` reports
     its share of the batch's shared input stage and of its slice's wall time.
     """
@@ -287,14 +288,13 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
 
     Returns one outcome per point, in order: its :class:`GateReport`, or the
     exception that the point raised.  The ideal reference and the first
-    splitter run once.  The points are grouped by Hamiltonian, that is by
-    ``(g, delta_over_g)``, in slices of at most ``BATCH_SLICE``, and each
-    slice runs as stacked calls: one closed-form stack for its lossless
-    transits, one ``stepped`` call per step count for its leaky ones, then
-    the shifter, the second splitter and the scoring over the whole slice.
-    A transit at t = 0 keeps its input.  A slice whose stacked stage raises
-    reruns one point at a time, so a failing point fails alone, with the
-    exception it raises when run alone.
+    splitter run once.  The points are grouped by Hamiltonian and step
+    count, that is by ``(g, delta_over_g, dt_steps)``, in slices of at most
+    ``BATCH_SLICE``, and each slice runs as stacked calls: one
+    ``lindblad.transit``, one state check, then the shifter, the second
+    splitter and the scoring over the whole slice.  A slice whose stacked
+    stage raises reruns one point at a time, so a failing point fails alone,
+    with the exception it raises when run alone.
 
     The cavity stage runs in the frame rotating at the cavity frequency,
     which is exact here: the total excitation N commutes with H and each
@@ -317,11 +317,12 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
         return [exc] * len(params_seq)
     shared_ms = (time.perf_counter() - started) * 1e3 / max(1, len(params_seq))
 
-    by_hamiltonian = {}  # (g, delta_over_g) fixes the Hamiltonian
+    slices = {}  # (g, delta_over_g) fixes the Hamiltonian; one step count per slice
     for k, params in enumerate(params_seq):
-        by_hamiltonian.setdefault((params.g, params.delta_over_g), []).append(k)
+        slices.setdefault((params.g, params.delta_over_g, params.stepper.dt_steps),
+                          []).append(k)
     outcomes = [None] * len(params_seq)
-    for ks in by_hamiltonian.values():
+    for ks in slices.values():
         for start in range(0, len(ks), BATCH_SLICE):
             part = ks[start:start + BATCH_SLICE]
             reports = _run_slice(stage_in, ideal_full, [params_seq[k] for k in part],
@@ -332,10 +333,28 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
 
 
 def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms) -> list:
-    """Outcomes of one slice of points that share a Hamiltonian; see :func:`run_batch`."""
+    """Outcomes of one slice of points that share a Hamiltonian and a step
+    count; see :func:`run_batch`."""
     started = time.perf_counter()
+    n = len(params_seq)
     try:
-        mats, drift, phi, paths = _cavity_stage(stage_in, params_seq, space, use_ideal_ns)
+        if use_ideal_ns:
+            ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
+            mats = np.repeat((ns @ stage_in @ ns.conj().T)[None], n, axis=0)
+            phi, paths = np.zeros(n), [("ideal_ns", 0)] * n
+        else:
+            phys = params_seq[0].phys
+            channel_sets = [leak_channels(space, p.ly_over_g * p.g) for p in params_seq]
+            phi = np.array([compensating_phase(phys, p.total_time) if p.phs else 0.0
+                            for p in params_seq])
+            h = build_array_hamiltonian(space, phys, frame="rotating")
+            mats = transit(stage_in, h, channel_sets, [p.total_time for p in params_seq],
+                           params_seq[0].stepper)
+            paths = [("stepped", p.stepper.dt_steps if p.total_time else 0) if channels
+                     else ("closed_form", 0) for p, channels in zip(params_seq, channel_sets)]
+        n_steps = max(steps for _, steps in paths)
+        drift = _check_state(mats, f"after {n_steps} steps" if n_steps
+                             else "after the cavity stage")
         shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
         if shifted:
             shift = phase_shifter(phi[shifted], space)
@@ -347,56 +366,13 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
         excited = mats.diagonal(axis1=-2, axis2=-1)[:, _excited(space)]
         residual = [row.sum().real for row in excited]
     except Exception as exc:
-        if len(params_seq) == 1:
+        if n == 1:
             return [exc]
         return [_run_slice(stage_in, ideal_full, [params], space, use_ideal_ns, shared_ms)[0]
                 for params in params_seq]
-    wall_ms = shared_ms + (time.perf_counter() - started) * 1e3 / len(params_seq)
+    wall_ms = shared_ms + (time.perf_counter() - started) * 1e3 / n
     return [GateReport(params=params, error=float(errors[k]), trace_drift=float(drift[k]),
                        atom_residual=float(residual[k]), phase_shift=float(phi[k]),
                        dim=space.dim, wall_ms=wall_ms, propagation=paths[k][0],
                        n_steps=paths[k][1])
             for k, params in enumerate(params_seq)]
-
-
-def _cavity_stage(stage_in, params_seq, space, use_ideal_ns):
-    """Each point's state after the cavity stage, as one stack, with its trace
-    drift, shifter angle and (propagation, n_steps).  The lossless transits
-    run as one ``closed_form`` stack and the leaky ones as one ``stepped``
-    call per step count, which takes one sector partition for all its leaks;
-    a point at t = 0 keeps its input."""
-    n = len(params_seq)
-    mats = np.empty((n,) + stage_in.shape, dtype=complex)
-    drift, phi = np.zeros(n), np.zeros(n)
-    paths = [("ideal_ns", 0)] * n
-    if use_ideal_ns:
-        ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
-        mats[:] = ns @ stage_in @ ns.conj().T
-        return mats, drift, phi, paths
-
-    phys = params_seq[0].phys
-    h = build_array_hamiltonian(space, phys, frame="rotating")
-    closed, leaky = [], {}
-    for k, params in enumerate(params_seq):
-        channels = leak_channels(space, params.ly_over_g * params.g)
-        if params.total_time == 0:
-            mats[k], drift[k] = stage_in, abs(stage_in.trace().real - 1.0)
-            paths[k] = ("stepped" if channels else "closed_form", 0)
-        elif channels:
-            leaky.setdefault(params.stepper, []).append((k, channels))
-        else:
-            closed.append(k)
-        if params.phs:
-            phi[k] = compensating_phase(phys, params.total_time)
-    if closed:
-        times = [params_seq[k].total_time for k in closed]
-        mats[closed], drift[closed] = closed_form(stage_in, h, times)
-        for k in closed:
-            paths[k] = ("closed_form", 0)
-    for stepper, points in leaky.items():
-        ks, channel_sets = zip(*points)
-        ks, times = list(ks), [params_seq[k].total_time for k in ks]
-        mats[ks], drift[ks] = stepped(stage_in, h, channel_sets, times, stepper)
-        for k in ks:
-            paths[k] = ("stepped", stepper.dt_steps)
-    return mats, drift, phi, paths

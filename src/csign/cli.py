@@ -163,6 +163,10 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
 def cmd_sweep(args) -> int:
     from . import sweep
 
+    # workers is a runtime knob, not part of the sweep identity: flag only
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     config = _load_config(args.config)
     run = _settings(args, config, "sweep")
     spec = sweep.SweepSpec(
@@ -171,8 +175,6 @@ def cmd_sweep(args) -> int:
         input_state=run.get("input", "p_test"),
         seed=run.get("seed", 0),
     )
-    # workers is a runtime knob, not part of the sweep identity: flag only
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     output = config.get("output", {})
     out_dir = args.out if args.out is not None else output.get("dir", "sweep_out")
 

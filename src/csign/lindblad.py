@@ -1,11 +1,16 @@
 """The cavity-stage propagator: the exact exponential, or the first-order
 trotterized master equation when photon-leak jumps are present.
 
+``transit`` runs many points from one input as one stack: a point at T = 0
+keeps the input, the lossless ones take one ``closed_form`` stack and the
+leaky ones one ``stepped`` call.  The transit is linear in the input and
+checks nothing; its caller (``evolve``, or the pipeline once per slice)
+runs the state check.
+
 With no jump channel the run is one spectral exponential exp(-i H T), which
-is exact ("closed_form"); ``closed_form`` conjugates one input with the
-exponentials of many durations as one stack.  With jumps ("stepped"), one
-step conjugates the density matrix with the exact unitary of the step
-interval and then adds the dissipator at first order:
+is exact ("closed_form").  With jumps ("stepped"), one step conjugates the
+density matrix with the exact unitary of the step interval and then adds
+the dissipator at first order:
 
     rho'  =  U rho U^dag  +  dt * sum_i ( L_i rho L_i^dag
                                           - (L_i^dag L_i rho + rho L_i^dag L_i) / 2 )
@@ -135,15 +140,10 @@ def unitary_step_matrix(h: np.ndarray, dt) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
-def closed_form(rho: np.ndarray, h: np.ndarray, times) -> tuple:
-    """U rho U^dag with U = exp(-i H T) for each T of ``times``, as one stack.
-
-    Returns the stack and the trace drift of each matrix; one that fails the
-    state checks raises :class:`DiagnosticError`.
-    """
+def closed_form(rho: np.ndarray, h: np.ndarray, times) -> np.ndarray:
+    """U rho U^dag with U = exp(-i H T) for each T of ``times``, as one stack."""
     u = unitary_step_matrix(h, np.asarray(times, dtype=float))
-    mats = u @ rho @ u.conj().swapaxes(-1, -2)
-    return mats, _check_state(mats, "after the closed-form transit")
+    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
 def _pack_channels(channels: Sequence[LindbladChannel]):
@@ -332,56 +332,70 @@ def _check_state(rho: np.ndarray, where: str):
     return drift
 
 
+def transit(rho: np.ndarray, h: np.ndarray,
+            channel_sets: Sequence[Sequence[LindbladChannel]], times,
+            cfg: StepperConfig = StepperConfig()) -> np.ndarray:
+    """The cavity-stage transit of ``rho`` for T = ``times[k]`` under H and the
+    jumps of ``channel_sets[k]``, for each k, as one stack.
+
+    A point at T = 0 keeps ``rho``; the lossless points (no jump) run as one
+    :func:`closed_form` stack and the leaky ones as one :func:`stepped` call.
+    The map is linear in ``rho`` and checks nothing, so a matrix that is not
+    a state (a matrix unit, say) evolves right too.  The caller checks the
+    states it gets with :func:`_check_state`.
+    """
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
+        raise PhysicsValidationError(f"total_time must be >= 0, got {times.min()}")
+    mats = np.empty((len(times),) + rho.shape, dtype=complex)
+    closed, leaky = [], []
+    for k, (total, channels) in enumerate(zip(times.tolist(), channel_sets)):
+        if total == 0:
+            mats[k] = rho
+        else:
+            (leaky if channels else closed).append(k)
+    if closed:
+        mats[closed] = closed_form(rho, h, times[closed])
+    if leaky:
+        mats[leaky] = stepped(rho, h, [channel_sets[k] for k in leaky], times[leaky], cfg)
+    return mats
+
+
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
            channels: Sequence[LindbladChannel], total_time: float,
            cfg: StepperConfig = StepperConfig()) -> EvolveResult:
     """Evolve the density matrix for ``total_time`` under H and the jump channels.
 
-    With no jump channel the result is U rho U^dag with U = exp(-i H T), exact,
-    so ``dt_steps`` has no effect ("closed_form", no steps).  With jumps it is
+    The one-point case of :func:`transit`, then the state check: a trace
+    drift beyond ``StepperConfig.trace_tol``, a clearly negative eigenvalue
+    or a non-finite entry raises :class:`DiagnosticError`.  With no jump
+    channel the result is U rho U^dag with U = exp(-i H T), exact, so
+    ``dt_steps`` has no effect ("closed_form", no steps).  With jumps it is
     that of exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
-    ("stepped"), the one-point case of :func:`stepped`: the ``dt_steps``-th
-    power of the one-step map on each sector of vec(rho) that the input
-    touches (about 2 log2(dt_steps) small matrix products per conjugate pair
-    of sectors).  The state is then checked once: a trace drift beyond
-    ``StepperConfig.trace_tol``, a clearly negative eigenvalue or a non-finite
-    entry raises :class:`DiagnosticError`.
+    ("stepped").  At T = 0 the result is ``rho`` itself.
     """
-    if total_time < 0:
-        raise PhysicsValidationError(f"total_time must be >= 0, got {total_time}")
-    space = rho.space
-    propagation = "stepped" if channels else "closed_form"
-    if total_time == 0:
-        return EvolveResult(rho, 0, abs(rho.matrix.trace().real - 1.0), propagation)
-    h = np.asarray(h)
-    if not channels:
-        mats, drift = closed_form(rho.matrix, h, [total_time])
-        return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), 0,
-                            float(drift[0]), propagation)
-
-    mats, drift = stepped(rho.matrix, h, [channels], [total_time], cfg)
-    return EvolveResult(fock.DensityMatrix(space, mats[0], check=False), cfg.dt_steps,
-                        float(drift[0]), propagation)
+    mats = transit(rho.matrix, h, [channels], [total_time], cfg)
+    n_steps = cfg.dt_steps if channels and total_time else 0
+    drift = _check_state(mats, f"after {n_steps} steps" if n_steps else "after the cavity stage")
+    out = rho if total_time == 0 else fock.DensityMatrix(rho.space, mats[0], check=False)
+    return EvolveResult(out, n_steps, float(drift[0]),
+                        "stepped" if channels else "closed_form")
 
 
 def stepped(rho: np.ndarray, h: np.ndarray,
             channel_sets: Sequence[Sequence[LindbladChannel]], times,
-            cfg: StepperConfig = StepperConfig()) -> tuple:
+            cfg: StepperConfig = StepperConfig()) -> np.ndarray:
     """Exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps from
     ``rho`` under H and the jumps of ``channel_sets[k]``, for each T =
-    ``times[k]``; :func:`evolve` with jumps is its one-point case.
+    ``times[k]``, as one stack; :func:`transit` runs its leaky points here.
 
-    Returns the stack of evolved matrices and the trace drift of each; a call
-    in which one matrix fails the state checks raises
-    :class:`DiagnosticError`.  Every channel set holds the same number of
-    jumps (two in every call of the pipeline).  All points take the
-    :func:`_partition` of their union zero pattern; for the leaks of
-    :func:`leak_channels` it is each point's own (L^dag L is diagonal and
-    links no two states), so a point's numbers do not depend on the others.
+    Every channel set holds the same number of jumps (two in every call of
+    the pipeline).  All points take the :func:`_partition` of their union
+    zero pattern; for the leaks of :func:`leak_channels` it is each point's
+    own (L^dag L is diagonal and links no two states), so a point's numbers
+    do not depend on the others.
     """
     times = np.asarray(times, dtype=float)
-    if (times < 0).any():
-        raise PhysicsValidationError(f"total_time must be >= 0, got {times.min()}")
     h = np.asarray(h)
     dts = times / cfg.dt_steps
     norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
@@ -390,12 +404,10 @@ def stepped(rho: np.ndarray, h: np.ndarray,
             warnings.warn(
                 f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
                 "consider more dt_steps or the rotating frame",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
 
     jumps, half_m = (np.stack(arrays) for arrays in zip(*map(_pack_channels, channel_sets)))
     same_block, sectors = _partition(h, half_m, jumps)
     # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
     u = np.where(same_block, unitary_step_matrix(h, dts), 0)
-    mats = _power_by_sector(rho, u, jumps, half_m, dts, cfg.dt_steps, sectors)
-    drift = _check_state(mats, f"after {cfg.dt_steps} steps")
-    return 0.5 * (mats + mats.conj().swapaxes(-1, -2)), drift  # shed round-off asymmetry
+    return _power_by_sector(rho, u, jumps, half_m, dts, cfg.dt_steps, sectors)

@@ -100,6 +100,8 @@ class SweepSpec:
         if self.input_state not in INPUT_SELECTORS:
             raise PhysicsValidationError(
                 f"input selector must be one of {INPUT_SELECTORS}, got {self.input_state!r}")
+        if self.seed < 0:
+            raise PhysicsValidationError(f"seed must be >= 0, got {self.seed}")
 
     def grid(self) -> list[dict]:
         """Grid points in row-major axis order; empty axes give no points."""
@@ -156,6 +158,8 @@ def _apply_point(base: circuit.SimParams, point: dict) -> circuit.SimParams:
 
 def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.DensityMatrix:
     """The run input: the ``p_test`` projector, or a ``random`` valid input from ``seed``."""
+    if seed < 0:
+        raise PhysicsValidationError(f"seed must be >= 0, got {seed}")
     if selector == "p_test":
         return circuit.p_test(space)
     if selector == "random":

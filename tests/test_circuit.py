@@ -337,8 +337,7 @@ class TestClosedFormTransit:
     @classmethod
     def stepped_transits(cls, rho, h, times):
         # stands in for ``lindblad.closed_form`` in ``run_batch``
-        mats = np.stack([cls.stepped(rho, h, total_time) for total_time in times])
-        return mats, np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)
+        return np.stack([cls.stepped(rho, h, total_time) for total_time in times])
 
     @staticmethod
     def draws():
@@ -363,7 +362,7 @@ class TestClosedFormTransit:
             report = circuit.run_array(probe, params, space)
             assert (report.propagation, report.n_steps) == ("closed_form", 0)
             with monkeypatch.context() as patch:
-                patch.setattr(circuit, "closed_form", self.stepped_transits)
+                patch.setattr(lindblad, "closed_form", self.stepped_transits)
                 reference = circuit.run_array(probe, params, space)
             assert abs(report.error - reference.error) <= 1e-9, params
             assert report.trace_drift <= 1e-12
@@ -373,17 +372,18 @@ class TestClosedFormTransit:
         # ``stepped`` stack when leaky, a one-point ``closed_form`` stack when
         # lossless
         calls = []
+        stepped, closed_form = lindblad.stepped, lindblad.closed_form
 
         def stepped_spy(rho, h, channel_sets, times, cfg):
             calls.append(("stepped", [len(c) for c in channel_sets], list(times)))
-            return lindblad.stepped(rho, h, channel_sets, times, cfg)
+            return stepped(rho, h, channel_sets, times, cfg)
 
         def closed_form_spy(rho, h, times):
             calls.append(("closed_form", list(times)))
-            return lindblad.closed_form(rho, h, times)
+            return closed_form(rho, h, times)
 
-        monkeypatch.setattr(circuit, "stepped", stepped_spy)
-        monkeypatch.setattr(circuit, "closed_form", closed_form_spy)
+        monkeypatch.setattr(lindblad, "stepped", stepped_spy)
+        monkeypatch.setattr(lindblad, "closed_form", closed_form_spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
         assert calls == [("stepped", [2], [params.total_time])]
@@ -447,12 +447,13 @@ class TestRunBatch:
                             stepper=slow if k % 4 == 1 else FAST)
                   for k in range(2 * lindblad.STEP_STACK + 9)]
         calls = []
+        stepped = lindblad.stepped
 
         def stepped_spy(rho, h, channel_sets, times, cfg):
             calls.append((cfg.dt_steps, len(times)))
-            return lindblad.stepped(rho, h, channel_sets, times, cfg)
+            return stepped(rho, h, channel_sets, times, cfg)
 
-        monkeypatch.setattr(circuit, "stepped", stepped_spy)
+        monkeypatch.setattr(lindblad, "stepped", stepped_spy)
         for state in (probe, circuit.random_valid_input(space, rng, mixed=True)):
             calls.clear()
             batch = circuit.run_batch(state, points, space)
@@ -469,12 +470,13 @@ class TestRunBatch:
 
     def test_one_stack_per_hamiltonian_slice(self, space, probe, monkeypatch):
         calls = []
+        closed_form = lindblad.closed_form
 
         def closed_form_spy(rho, h, times):
             calls.append(len(times))
-            return lindblad.closed_form(rho, h, times)
+            return closed_form(rho, h, times)
 
-        monkeypatch.setattr(circuit, "closed_form", closed_form_spy)
+        monkeypatch.setattr(lindblad, "closed_form", closed_form_spy)
         points = [SimParams(t=1.0 + k) for k in range(circuit.BATCH_SLICE + 6)]
         points += [SimParams(t=2.0, delta_over_g=1.0), SimParams(t=0.0)]
         circuit.run_batch(probe, points, space)
@@ -512,6 +514,64 @@ class TestRunBatch:
         assert str(batch[1]) == str(alone.value)
         for params, report in zip(good, batch[:1] + batch[2:]):
             assert report_bits(report) == report_bits(circuit.run_array(probe, params, space))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """(stack size, message or None) of each state check of the pipeline."""
+        calls = []
+        check_state = circuit._check_state
+
+        def check_spy(mats, where):
+            calls.append((len(mats), None))
+            try:
+                return check_state(mats, where)
+            except DiagnosticError as exc:
+                calls[-1] = (len(mats), str(exc))
+                raise
+
+        monkeypatch.setattr(circuit, "_check_state", check_spy)
+        return calls
+
+    def test_failing_point_fails_the_stack(self, space, probe, checks):
+        # the slice's one state check raises and names the step count; the
+        # slice then reruns point by point, one check per point
+        slow = StepperConfig(dt_steps=2)
+        points = [SimParams(t=3.0, ly_over_g=1e-3, stepper=slow),
+                  SimParams(t=150.0, ly_over_g=1.0, stepper=slow), SimParams(t=7.0, stepper=slow)]
+        batch = circuit.run_batch(probe, points, space)
+        assert [n for n, _ in checks] == [3, 1, 1, 1]
+        assert [message is None for _, message in checks] == [False, True, False, True]
+        assert "below -0.1 after 2 steps" in checks[0][1]
+        assert type(batch[1]) is DiagnosticError
+        assert str(batch[1]) == checks[2][1]
+        assert [r.n_steps for r in batch[::2]] == [2, 0]
+
+    def test_one_state_check_per_slice(self, space, probe, checks):
+        # lossless, leaky and t = 0 points of one slice, then ideal-sign
+        # points: one check each
+        points = [SimParams(t=3.0, stepper=FAST), SimParams(t=7.0, ly_over_g=0.01, stepper=FAST),
+                  SimParams(t=0.0, stepper=FAST), SimParams(t=0.0, ly_over_g=0.01, stepper=FAST),
+                  SimParams(t=17.0, ly_over_g=0.02, stepper=FAST)]
+        batch = circuit.run_batch(probe, points, space)
+        assert checks == [(5, None)]
+        assert [(r.propagation, r.n_steps) for r in batch] == [
+            ("closed_form", 0), ("stepped", 400), ("closed_form", 0), ("stepped", 0),
+            ("stepped", 400)]
+        ideal = circuit.run_batch(probe, points, space, use_ideal_ns=True)
+        assert checks == [(5, None)] * 2
+        assert {r.propagation for r in ideal} == {"ideal_ns"}
+
+    def test_ideal_ns_trace_drift_is_measured(self, space, rng):
+        # the ideal-sign stage's own drift, not a hard-coded 0
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        ns = circuit.ideal_ns_map("x1", space) @ circuit.ideal_ns_map("y1", space)
+        drifts = []
+        for state in [circuit.random_valid_input(space, rng, mixed=True) for _ in range(8)]:
+            report = circuit.run_array(state, SimParams(t=1.0), space, use_ideal_ns=True)
+            stage = ns @ (bs @ state.matrix @ bs.conj().T) @ ns.conj().T
+            assert report.trace_drift == abs(np.trace(stage).real - 1.0)
+            drifts.append(report.trace_drift)
+        assert max(drifts) > 0.0
 
     def test_stacked_stage_failure_reruns_the_slice(self, space, probe, monkeypatch):
         # a stage that runs once per slice raises for one point: the slice

@@ -204,6 +204,31 @@ class TestExitCodes:
         assert code == 3
         assert "randm" in err and not out
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_3(self, capsys, tmp_path, command, where):
+        cfg = tmp_path / "seed.yaml"
+        seed = "\n  seed: -1" if where == "config" else ""
+        cfg.write_text(f"sweep:\n  input: random{seed}\n  axes:\n    - name: t\n"
+                       "      values: [1.0]\n")
+        extra = ["--workers", "1"] if command == "sweep" else []
+        extra += ["--seed=-1"] if where == "flag" else []
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, tmp_path, workers):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n      values: [1.0]\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                 f"--workers={workers}", "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert f"--workers must be >= 1, got {workers}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("physics: [unclosed\n")

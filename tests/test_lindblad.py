@@ -328,7 +328,8 @@ class TestStepped:
         partitions += [lindblad._partition(h, m, j) for j, m in zip(jumps, half_m)]
         assert len({id(partition) for partition in partitions}) == 2
         assert len({partition_bytes(partition) for partition in partitions}) == 1
-        mats, drift = lindblad.stepped(rho, h, channel_sets, times, cfg)
+        mats = lindblad.stepped(rho, h, channel_sets, times, cfg)
+        drift = lindblad._check_state(mats, "here")
         for k, (channels, total) in enumerate(zip(channel_sets, times)):
             alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
             assert np.array_equal(mats[k], alone.rho.matrix)
@@ -357,16 +358,38 @@ class TestStepped:
                          StepperConfig(dt_steps=200))
         assert sorted(calls) == sorted(list(touched) * 2)
 
-    def test_failing_point_fails_the_stack(self):
-        dim = 3
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[2, 2] = 1.0
-        channels = [[LindbladChannel(c * lowering(dim))] for c in (0.01, 2.0)]
-        with pytest.raises(DiagnosticError, match="after 2 steps"):
-            lindblad.stepped(rho0, np.zeros((dim, dim)), channels, [10.0, 10.0],
-                             StepperConfig(dt_steps=2))
+
+class TestTransit:
+    """``transit``: the one split of points into T = 0, lossless and leaky."""
+
+    def test_linear_on_a_matrix_unit(self, space):
+        # |11><00| from the logical block, after the first splitter: not
+        # Hermitian and of trace 0, so not a state; each point (leaky,
+        # lossless, t = 0) against the explicit step loop
+        b, _, _, a = fock.computational_indices(space)
+        unit = np.zeros((space.dim, space.dim), dtype=complex)
+        unit[a, b] = 1.0
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        rho = bs @ unit @ bs.conj().T
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
+        cfg = StepperConfig(dt_steps=200)
+        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 0.0, 0.02, 0.01)]
+        times = [30.0, 30.0, 12.0, 0.0]
+        mats = lindblad.transit(rho, h, channel_sets, times, cfg)
+        for k, (channels, total) in enumerate(zip(channel_sets, times)):
+            steps = cfg.dt_steps if total else 0
+            dt = total / cfg.dt_steps
+            expected = trotter_steps(rho, lindblad.unitary_step_matrix(h, dt),
+                                     [c.matrix for c in channels], dt, steps)
+            assert np.max(np.abs(mats[k] - expected)) <= 1e-12, k
+        assert np.array_equal(mats[3], rho)
+        assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > 0.1
+
+    def test_rejects_negative_time(self):
+        rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        channels = [[LindbladChannel(0.01 * lowering(3))]] * 2
         with pytest.raises(PhysicsValidationError):
-            lindblad.stepped(rho0, np.zeros((dim, dim)), channels, [1.0, -1.0])
+            lindblad.transit(rho0, np.zeros((3, 3)), channels, [1.0, -1.0])
 
 
 class TestEvolve:
@@ -397,7 +420,8 @@ class TestEvolve:
         rho = gmat @ gmat.conj().T
         rho /= rho.trace().real
         times = [0.5, 3.0, 41.0, 700.0]
-        mats, drift = lindblad.closed_form(rho, h, times)
+        mats = lindblad.closed_form(rho, h, times)
+        drift = lindblad._check_state(mats, "here")
         for k, total in enumerate(times):
             u = lindblad.unitary_step_matrix(h, total)
             one = u @ rho @ u.conj().T

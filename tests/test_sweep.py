@@ -139,6 +139,13 @@ class TestRunSweep:
         assert e1 == e2
         assert e1 != e3
 
+    def test_negative_seed_rejected(self, space):
+        with pytest.raises(PhysicsValidationError, match="seed must be >= 0"):
+            SweepSpec(axes=(Axis("t", (2.0,)),), base=FAST_BASE,
+                      input_state="random", seed=-1)
+        with pytest.raises(PhysicsValidationError, match="seed must be >= 0"):
+            sweep.input_state("random", -1, space)
+
     def test_point_failure_recorded_not_raised(self):
         # an enormous dissipative step blows past the positivity floor
         base = SimParams(t=150.0, ly_over_g=1.0,
