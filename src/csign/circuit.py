@@ -37,8 +37,8 @@ from .jc import PhysParams, compensating_phase
 from .lindblad import StepperConfig, _check_state, leak_channels, transit
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
-#: most points of one Hamiltonian that run as one stack; bounds a batch's memory
-BATCH_SLICE = 64
+#: most points of one Hamiltonian that run as one stack; the one bound on a batch's memory
+BATCH_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,10 @@ class SimParams:
             raise PhysicsValidationError(f"ly_over_g must be >= 0, got {self.ly_over_g}")
         if self.g <= 0:
             raise PhysicsValidationError(f"coupling g must be positive, got {self.g}")
+        if not math.isfinite(self.total_time):
+            raise PhysicsValidationError(
+                f"duration t = {self.t} at g = {self.g} overflows the total time")
+        self.phys  # built once here to check it: a bad base fails before any point runs
 
     @property
     def total_time(self) -> float:
@@ -112,15 +116,8 @@ class GateReport:
         return json.dumps({
             "params": self.params.as_dict(),
             "error": self.error,
-            "diagnostics": {
-                "trace_drift": self.trace_drift,
-                "atom_residual": self.atom_residual,
-                "phase_shift": self.phase_shift,
-                "dim": self.dim,
-                "wall_ms": self.wall_ms,
-                "propagation": self.propagation,
-                "n_steps": self.n_steps,
-            },
+            # every field after params and error, in field order
+            "diagnostics": {f.name: getattr(self, f.name) for f in fields(self)[2:]},
         }, indent=indent)
 
 
@@ -290,8 +287,9 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     exception that the point raised.  The ideal reference and the first
     splitter run once.  The points are grouped by Hamiltonian and step
     count, that is by ``(g, delta_over_g, dt_steps)``, in slices of at most
-    ``BATCH_SLICE``, and each slice runs as stacked calls: one
-    ``lindblad.transit``, one state check, then the shifter, the second
+    ``BATCH_SLICE``, the one bound on a stack, lossless or leaky.  Each slice
+    runs as stacked calls: one ``lindblad.transit``, which reports each
+    point's step count, one state check, then the shifter, the second
     splitter and the scoring over the whole slice.  A slice whose stacked
     stage raises reruns one point at a time, so a failing point fails alone,
     with the exception it raises when run alone.
@@ -341,20 +339,17 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
         if use_ideal_ns:
             ns = ideal_ns_map("x1", space) @ ideal_ns_map("y1", space)
             mats = np.repeat((ns @ stage_in @ ns.conj().T)[None], n, axis=0)
-            phi, paths = np.zeros(n), [("ideal_ns", 0)] * n
+            phi, steps, paths = np.zeros(n), [0] * n, ["ideal_ns"] * n
         else:
             phys = params_seq[0].phys
             channel_sets = [leak_channels(space, p.ly_over_g * p.g) for p in params_seq]
             phi = np.array([compensating_phase(phys, p.total_time) if p.phs else 0.0
                             for p in params_seq])
             h = build_array_hamiltonian(space, phys, frame="rotating")
-            mats = transit(stage_in, h, channel_sets, [p.total_time for p in params_seq],
-                           params_seq[0].stepper)
-            paths = [("stepped", p.stepper.dt_steps if p.total_time else 0) if channels
-                     else ("closed_form", 0) for p, channels in zip(params_seq, channel_sets)]
-        n_steps = max(steps for _, steps in paths)
-        drift = _check_state(mats, f"after {n_steps} steps" if n_steps
-                             else "after the cavity stage")
+            mats, steps = transit(stage_in, h, channel_sets,
+                                  [p.total_time for p in params_seq], params_seq[0].stepper)
+            paths = ["stepped" if channels else "closed_form" for channels in channel_sets]
+        drift = _check_state(mats, max(steps))
         shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
         if shifted:
             shift = phase_shifter(phi[shifted], space)
@@ -373,6 +368,6 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
     wall_ms = shared_ms + (time.perf_counter() - started) * 1e3 / n
     return [GateReport(params=params, error=float(errors[k]), trace_drift=float(drift[k]),
                        atom_residual=float(residual[k]), phase_shift=float(phi[k]),
-                       dim=space.dim, wall_ms=wall_ms, propagation=paths[k][0],
-                       n_steps=paths[k][1])
+                       dim=space.dim, wall_ms=wall_ms, propagation=paths[k],
+                       n_steps=steps[k])
             for k, params in enumerate(params_seq)]

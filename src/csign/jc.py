@@ -43,10 +43,13 @@ class PhysParams:
             raise PhysicsValidationError(f"coupling g must be positive, got {self.g}")
         if self.omega_c <= 0:
             raise PhysicsValidationError(f"omega_c must be positive, got {self.omega_c}")
-        # the Rabi frequency of the largest block, n = 1, must not overflow
+        # the Rabi frequency must not overflow at n = 1, nor underflow to 0 at n = 0
         if not math.isfinite(self.delta * self.delta + 8.0 * self.g * self.g):
             raise PhysicsValidationError(
                 f"delta {self.delta} and g {self.g} overflow the Rabi frequency")
+        if rabi_frequency(0, self) == 0.0:
+            raise PhysicsValidationError(
+                f"delta {self.delta} and g {self.g} underflow the Rabi frequency to 0")
 
     @property
     def omega_a(self) -> float:

@@ -3,9 +3,9 @@ trotterized master equation when photon-leak jumps are present.
 
 ``transit`` runs many points from one input as one stack: a point at T = 0
 keeps the input, the lossless ones take one ``closed_form`` stack and the
-leaky ones one ``stepped`` call.  The transit is linear in the input and
-checks nothing; its caller (``evolve``, or the pipeline once per slice)
-runs the state check.
+leaky ones one ``stepped`` call; it alone decides each point's step count.
+The transit is linear in the input and checks nothing; its caller
+(``evolve``, or the pipeline once per slice) runs the state check.
 
 With no jump channel the run is one spectral exponential exp(-i H T), which
 is exact ("closed_form").  With jumps ("stepped"), one step conjugates the
@@ -35,10 +35,10 @@ the 44 sectors the input touches need 24 powers.
 
 ``stepped`` runs many leaky points from one input on one sector partition
 and gathers the step entries of all touched sectors at once; all sectors of
-one size are raised for all points of a stack in one call (six on
-``p_test``).  On this model a small matrix product costs mostly per call,
-not per matrix, so a point's share of an eight-point stack costs less than
-half of what a lone point costs.
+one size are raised in one call for all its points (six calls on ``p_test``),
+however many the caller stacks.  On this model a small matrix product costs
+mostly per call, not per matrix, so a point's share of an eight-point call
+costs less than half of what a lone point costs.
 
 The spectrum of H (cached by H's bytes) and the sector partition (cached by
 the zero patterns) are shared by every point of a sweep at one H.
@@ -110,8 +110,6 @@ class EvolveResult:
 
 NON_HERMITIAN_LIMIT = 1e-9
 POSITIVITY_LIMIT = -0.1  # genuine runs sit at round-off; blowups are O(1) negative
-#: most leaky points raised as one stack; bounds the memory of their step entries
-STEP_STACK = 8
 
 
 def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +250,10 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
     point and ``jumps`` one stack of jumps per point; all points share the
     input ``rho`` and the :func:`_sectors` layout.  The touched sectors (those
     that hold a nonzero input entry, or whose partner does) and one flat index
-    per side that gathers their step entries are found once.  Then, for each
-    stack of at most ``STEP_STACK`` points, each sector size is raised in one
-    call.  A partner takes conj of its sector's power, applied to the
-    partner's own input entries, so an input that is not Hermitian evolves
-    right too.  Untouched sectors stay exactly 0.
+    per side that gathers their step entries are found once, and each sector
+    size is raised for all points in one call.  A partner takes conj of its
+    sector's power, applied to the partner's own input entries, so an input
+    that is not Hermitian evolves right too.  Untouched sectors stay exactly 0.
     """
     n, dim = len(u), rho.shape[0]
     touched, left, right = [], [], []
@@ -277,41 +274,40 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
         conj_side = flat[:, right]
         return flat[:, left], np.conj(conj_side, out=conj_side)
 
+    # in place, with every product's operands in the order of the formula
+    # (with FMA, a * b and b * a can round apart)
     dt = np.asarray(dt)[:, None]
-    for start in range(0, n, STEP_STACK):
-        part = slice(start, start + STEP_STACK)
-        # in place, with every product's operands in the order of the formula
-        # (with FMA, a * b and b * a can round apart)
-        u_left, u_right = sides(u[part])
-        step = u_left * u_right
-        m_left, m_right = sides(half_m[part] @ u[part])
-        m_left *= u_right
-        np.multiply(u_left, m_right, out=m_right)
-        m_left += m_right
-        np.multiply(dt[part], m_left, out=m_left)
-        step -= m_left
-        del u_left, u_right, m_left, m_right
-        for lu in (jumps[part] @ u[part, None]).swapaxes(0, 1):
-            l_left, l_right = sides(lu)
-            np.multiply(dt[part], l_left, out=l_left)
-            l_left *= l_right
-            step += l_left
-        at = 0
-        for rows, cols, paired in touched:
-            count, size = rows.shape
-            block = step[:, at:at + count * size * size].reshape(-1, count, size, size)
-            at += count * size * size
-            power = np.linalg.matrix_power(block, n_steps)
-            out[part, rows, cols] = (power @ rho[rows, cols][..., None])[..., 0]
-            rows, cols, power = rows[paired], cols[paired], power[:, paired].conj()
-            out[part, cols, rows] = (power @ rho[cols, rows][..., None])[..., 0]
+    u_left, u_right = sides(u)
+    step = u_left * u_right
+    m_left, m_right = sides(half_m @ u)
+    m_left *= u_right
+    np.multiply(u_left, m_right, out=m_right)
+    m_left += m_right
+    np.multiply(dt, m_left, out=m_left)
+    step -= m_left
+    del u_left, u_right, m_left, m_right
+    for lu in (jumps @ u[:, None]).swapaxes(0, 1):
+        l_left, l_right = sides(lu)
+        np.multiply(dt, l_left, out=l_left)
+        l_left *= l_right
+        step += l_left
+    at = 0
+    for rows, cols, paired in touched:
+        count, size = rows.shape
+        block = step[:, at:at + count * size * size].reshape(n, count, size, size)
+        at += count * size * size
+        power = np.linalg.matrix_power(block, n_steps)
+        out[:, rows, cols] = (power @ rho[rows, cols][..., None])[..., 0]
+        rows, cols, power = rows[paired], cols[paired], power[:, paired].conj()
+        out[:, cols, rows] = (power @ rho[cols, rows][..., None])[..., 0]
     return out
 
 
-def _check_state(rho: np.ndarray, where: str):
+def _check_state(rho: np.ndarray, n_steps: int):
     """Trace drift of ``rho``, or of each matrix of a stack; DiagnosticError
     if a matrix has a non-finite entry, a trace drift past ``trace_tol`` or an
-    eigenvalue below ``POSITIVITY_LIMIT``."""
+    eigenvalue below ``POSITIVITY_LIMIT``, whose message names ``n_steps`` if > 0."""
+    where = f"after {n_steps} steps" if n_steps else "after the cavity stage"
     if not np.isfinite(rho).all():
         raise DiagnosticError(f"non-finite density matrix entries {where}")
     drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
@@ -334,9 +330,10 @@ def _check_state(rho: np.ndarray, where: str):
 
 def transit(rho: np.ndarray, h: np.ndarray,
             channel_sets: Sequence[Sequence[LindbladChannel]], times,
-            cfg: StepperConfig = StepperConfig()) -> np.ndarray:
+            cfg: StepperConfig = StepperConfig()) -> tuple[np.ndarray, list[int]]:
     """The cavity-stage transit of ``rho`` for T = ``times[k]`` under H and the
-    jumps of ``channel_sets[k]``, for each k, as one stack.
+    jumps of ``channel_sets[k]``, for each k, as one stack, and each point's
+    step count: ``cfg.dt_steps`` for the leaky points at T > 0, else 0.
 
     A point at T = 0 keeps ``rho``; the lossless points (no jump) run as one
     :func:`closed_form` stack and the leaky ones as one :func:`stepped` call.
@@ -348,17 +345,20 @@ def transit(rho: np.ndarray, h: np.ndarray,
     if (times < 0).any():
         raise PhysicsValidationError(f"total_time must be >= 0, got {times.min()}")
     mats = np.empty((len(times),) + rho.shape, dtype=complex)
-    closed, leaky = [], []
+    closed, leaky, steps = [], [], [0] * len(times)
     for k, (total, channels) in enumerate(zip(times.tolist(), channel_sets)):
         if total == 0:
             mats[k] = rho
+        elif channels:
+            leaky.append(k)
+            steps[k] = cfg.dt_steps
         else:
-            (leaky if channels else closed).append(k)
+            closed.append(k)
     if closed:
         mats[closed] = closed_form(rho, h, times[closed])
     if leaky:
         mats[leaky] = stepped(rho, h, [channel_sets[k] for k in leaky], times[leaky], cfg)
-    return mats
+    return mats, steps
 
 
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
@@ -374,9 +374,8 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     that of exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
     ("stepped").  At T = 0 the result is ``rho`` itself.
     """
-    mats = transit(rho.matrix, h, [channels], [total_time], cfg)
-    n_steps = cfg.dt_steps if channels and total_time else 0
-    drift = _check_state(mats, f"after {n_steps} steps" if n_steps else "after the cavity stage")
+    mats, (n_steps,) = transit(rho.matrix, h, [channels], [total_time], cfg)
+    drift = _check_state(mats, n_steps)
     out = rho if total_time == 0 else fock.DensityMatrix(rho.space, mats[0], check=False)
     return EvolveResult(out, n_steps, float(drift[0]),
                         "stepped" if channels else "closed_form")

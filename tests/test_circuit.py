@@ -314,8 +314,10 @@ class TestRunArray:
         # a per-point field that no output reads fails here
         report = circuit.run_array(probe, SimParams(t=1.0), space)
         payload = json.loads(report.to_json())
-        names = {f.name for f in dataclasses.fields(circuit.GateReport)}
-        assert names == {"params", "error"} | set(payload["diagnostics"])
+        # in field order: a new field shows up in the JSON where it is declared
+        names = [f.name for f in dataclasses.fields(circuit.GateReport)]
+        assert list(payload) == ["params", "error", "diagnostics"]
+        assert names == ["params", "error", *payload["diagnostics"]]
 
     def test_atom_residual_positive_at_bad_duration(self, space, probe):
         report = circuit.run_array(probe, SimParams(t=2.5, stepper=FAST), space)
@@ -436,16 +438,15 @@ class TestRunBatch:
 
     def test_leaky_slice_matches_run_array_bit_for_bit(self, space, probe, monkeypatch):
         # one Hamiltonian: leaky points at several leaks (one so small that
-        # its square underflows to 0 in half_m) and two
-        # step counts, more of one count than one stack holds, among lossless
-        # points and points at t = 0
+        # its square underflows to 0 in half_m) and two step counts, more
+        # than eight of one count, among lossless points and points at t = 0
         rng = np.random.default_rng(1408)
         slow = StepperConfig(dt_steps=250)
         leaks = [0.0, 1e-169, 1e-4, 3e-3, 0.02, 0.1]
         points = [SimParams(t=0.0 if k % 7 == 5 else float(rng.uniform(0.5, 100.0)),
                             ly_over_g=leaks[k % len(leaks)], phs=int(rng.integers(2)),
                             stepper=slow if k % 4 == 1 else FAST)
-                  for k in range(2 * lindblad.STEP_STACK + 9)]
+                  for k in range(25)]
         calls = []
         stepped = lindblad.stepped
 
@@ -461,7 +462,7 @@ class TestRunBatch:
             # one stepped call per step count
             assert sorted(calls) == [(slow.dt_steps, sum(p.stepper == slow for p in leaky)),
                                      (FAST.dt_steps, sum(p.stepper == FAST for p in leaky))]
-            assert max(n for _, n in calls) > lindblad.STEP_STACK
+            assert max(n for _, n in calls) > 8
             assert {(r.propagation, r.n_steps) for r in batch} == {
                 ("closed_form", 0), ("stepped", 0), ("stepped", 250), ("stepped", 400)}
             for params, report in zip(points, batch):
@@ -483,8 +484,33 @@ class TestRunBatch:
         # a point at t = 0 keeps its input and makes no call
         assert calls == [circuit.BATCH_SLICE, 6, 1]
 
+    def test_leaky_stack_is_bounded_by_the_slice(self, space, probe, monkeypatch):
+        # BATCH_SLICE + 3 leaky points at one Hamiltonian and one step count:
+        # one stepped call per slice, each with one matrix power per touched
+        # sector size, whatever its point count
+        calls = []
+        stepped, power = lindblad.stepped, np.linalg.matrix_power
+
+        def stepped_spy(rho, h, channel_sets, times, cfg):
+            calls.append((len(times), []))
+            return stepped(rho, h, channel_sets, times, cfg)
+
+        def power_spy(a, n):
+            calls[-1][1].append(a.shape[-1])
+            return power(a, n)
+
+        monkeypatch.setattr(lindblad, "stepped", stepped_spy)
+        monkeypatch.setattr(np.linalg, "matrix_power", power_spy)
+        points = [SimParams(t=1.0 + k, ly_over_g=1e-3, stepper=FAST)
+                  for k in range(circuit.BATCH_SLICE + 3)]
+        circuit.run_batch(probe, points, space)
+        assert [n for n, _ in calls] == [circuit.BATCH_SLICE, 3]
+        for _, sizes in calls:
+            assert sorted(sizes) == sorted(set(sizes)) and len(sizes) == 6
+
     def test_one_phys_params_per_slice(self, space, probe, monkeypatch):
-        # the Hamiltonian and the shifter angle of a slice share one PhysParams
+        # the Hamiltonian and the shifter angle of a slice share one
+        # PhysParams (each point also builds one when it is made, to check it)
         built = []
 
         class CountedPhysParams(jc.PhysParams):
@@ -492,10 +518,10 @@ class TestRunBatch:
                 built.append(self.delta)
                 super().__post_init__()
 
-        monkeypatch.setattr(circuit, "PhysParams", CountedPhysParams)
         points = [SimParams(t=1.0 + k, ly_over_g=0.01 if k % 5 == 2 else 0.0, stepper=FAST)
                   for k in range(circuit.BATCH_SLICE + 6)]
         points.insert(3, SimParams(t=2.0, delta_over_g=1.0))
+        monkeypatch.setattr(circuit, "PhysParams", CountedPhysParams)
         batch = circuit.run_batch(probe, points, space)
         assert all(isinstance(report, circuit.GateReport) for report in batch)
         assert sorted(built) == [0.0, 0.0, 0.1]
@@ -521,10 +547,10 @@ class TestRunBatch:
         calls = []
         check_state = circuit._check_state
 
-        def check_spy(mats, where):
+        def check_spy(mats, n_steps):
             calls.append((len(mats), None))
             try:
-                return check_state(mats, where)
+                return check_state(mats, n_steps)
             except DiagnosticError as exc:
                 calls[-1] = (len(mats), str(exc))
                 raise

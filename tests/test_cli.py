@@ -239,15 +239,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--config", "/nope/none.yaml")
         assert code == 2
 
-    def test_physics_validation_exits_3(self, capsys):
+    def test_physics_validation_exits_3(self, capsys, tmp_path):
+        tiny_g = tmp_path / "tiny_g.yaml"
+        tiny_g.write_text("physics:\n  g: 1.0e-310\nsweep:\n  axes:\n"
+                          "    - name: t\n      values: [1.0, 3.0]\n")
+        out_path = tmp_path / "out"
         for argv, name in (
                 (["simulate", "--t", "-1"], "t"),
                 # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
                 (["calibrate", "--horizon-t", "10", "--delta-over-g", "1e200"], "delta"),
-                (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta")):
-            code, out, err = run_cli(capsys, *argv)
+                (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta"),
+                # finite, but the total time t pi / (sqrt(2) g) overflows
+                (["simulate", "--t", "1e308"], "total time"),
+                # g^2 underflows, so the lowest Rabi frequency is 0
+                (["simulate", "--config", str(tiny_g)], "underflow"),
+                (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow")):
+            code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
             assert (code, out) == (3, ""), argv
             assert name in err
+            assert not out_path.exists(), argv
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [

@@ -37,6 +37,14 @@ class TestPhysParams:
             with pytest.raises(PhysicsValidationError, match="overflow"):
                 PhysParams(g=g, omega_c=1.0, delta=delta)
         assert math.isfinite(jc.rabi_frequency(1, PhysParams(g=0.1, delta=1e153)))
+        # a g whose square underflows to 0 leaves the lowest block's Rabi
+        # frequency 0 at resonance; a detuning or a larger g keeps it positive
+        with pytest.raises(PhysicsValidationError, match="underflow"):
+            PhysParams(g=1e-310, omega_c=1.0)
+        for g, delta in ((1e-310, 1e-150), (1e-160, 0.0)):
+            params = PhysParams(g=g, omega_c=1.0, delta=delta)
+            assert jc.rabi_frequency(0, params) > 0
+            assert math.isfinite(abs(jc.jc_return_amplitude(1, params, 1.0)))
 
 
 class TestRabiFrequency:

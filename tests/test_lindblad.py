@@ -313,13 +313,13 @@ class TestStepped:
                 assert np.max(np.abs(out[k] - expected)) <= 1e-12
 
     def test_stack_matches_evolve_bit_for_bit(self, space, rng):
-        # more points than one stack holds, and one leak so small that its
-        # square underflows: its half_m has its own zero pattern, but the
-        # partition of the stack's union pattern is the same as its own
+        # eleven points in one call, and one leak so small that its square
+        # underflows: its half_m has its own zero pattern, but the partition
+        # of the stack's union pattern is the same as its own
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ circuit.random_valid_input(space, rng, mixed=True).matrix @ bs.conj().T
-        leaks = [1e-170] + list(10.0 ** rng.uniform(-5.0, -2.0, lindblad.STEP_STACK + 3))
+        leaks = [1e-170] + list(10.0 ** rng.uniform(-5.0, -2.0, 10))
         channel_sets = [lindblad.leak_channels(space, ly) for ly in leaks]
         times = rng.uniform(1.0, 700.0, size=len(leaks))
         cfg = StepperConfig(dt_steps=300)
@@ -329,14 +329,14 @@ class TestStepped:
         assert len({id(partition) for partition in partitions}) == 2
         assert len({partition_bytes(partition) for partition in partitions}) == 1
         mats = lindblad.stepped(rho, h, channel_sets, times, cfg)
-        drift = lindblad._check_state(mats, "here")
+        drift = lindblad._check_state(mats, cfg.dt_steps)
         for k, (channels, total) in enumerate(zip(channel_sets, times)):
             alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
             assert np.array_equal(mats[k], alone.rho.matrix)
             assert drift[k] == alone.trace_drift
 
     def test_one_matrix_power_per_touched_size_per_stack(self, space, probe, monkeypatch):
-        # p_test touches sectors of six sizes, two stacks of them: 12 calls
+        # p_test touches sectors of six sizes: six calls for eleven points
         h = dynamics.build_array_hamiltonian(space, PhysParams(), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ probe.matrix @ bs.conj().T
@@ -353,10 +353,10 @@ class TestStepped:
             return power(a, n)
 
         monkeypatch.setattr(np.linalg, "matrix_power", power_spy)
-        n = lindblad.STEP_STACK + 3
+        n = 11
         lindblad.stepped(rho, h, [channels] * n, np.linspace(10.0, 300.0, n),
                          StepperConfig(dt_steps=200))
-        assert sorted(calls) == sorted(list(touched) * 2)
+        assert sorted(calls) == sorted(touched)
 
 
 class TestTransit:
@@ -365,7 +365,8 @@ class TestTransit:
     def test_linear_on_a_matrix_unit(self, space):
         # |11><00| from the logical block, after the first splitter: not
         # Hermitian and of trace 0, so not a state; each point (leaky,
-        # lossless, t = 0) against the explicit step loop
+        # lossless, t = 0) against the explicit step loop, and the step
+        # count each point reports
         b, _, _, a = fock.computational_indices(space)
         unit = np.zeros((space.dim, space.dim), dtype=complex)
         unit[a, b] = 1.0
@@ -373,16 +374,17 @@ class TestTransit:
         rho = bs @ unit @ bs.conj().T
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         cfg = StepperConfig(dt_steps=200)
-        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 0.0, 0.02, 0.01)]
-        times = [30.0, 30.0, 12.0, 0.0]
-        mats = lindblad.transit(rho, h, channel_sets, times, cfg)
+        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 0.0, 0.02, 0.0, 0.01)]
+        times = [30.0, 30.0, 12.0, 0.0, 0.0]
+        mats, steps = lindblad.transit(rho, h, channel_sets, times, cfg)
+        assert steps == [cfg.dt_steps, 0, cfg.dt_steps, 0, 0]
         for k, (channels, total) in enumerate(zip(channel_sets, times)):
-            steps = cfg.dt_steps if total else 0
+            n = cfg.dt_steps if total else 0
             dt = total / cfg.dt_steps
             expected = trotter_steps(rho, lindblad.unitary_step_matrix(h, dt),
-                                     [c.matrix for c in channels], dt, steps)
+                                     [c.matrix for c in channels], dt, n)
             assert np.max(np.abs(mats[k] - expected)) <= 1e-12, k
-        assert np.array_equal(mats[3], rho)
+        assert np.array_equal(mats[3], rho) and np.array_equal(mats[4], rho)
         assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > 0.1
 
     def test_rejects_negative_time(self):
@@ -421,7 +423,7 @@ class TestEvolve:
         rho /= rho.trace().real
         times = [0.5, 3.0, 41.0, 700.0]
         mats = lindblad.closed_form(rho, h, times)
-        drift = lindblad._check_state(mats, "here")
+        drift = lindblad._check_state(mats, 0)
         for k, total in enumerate(times):
             u = lindblad.unitary_step_matrix(h, total)
             one = u @ rho @ u.conj().T
@@ -488,10 +490,11 @@ class TestEvolve:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         stack = np.stack([q @ np.diag(w) @ q.conj().T
                           for w in ([0.5, 0.3, 0.25, -0.05], [0.5, 0.3, 0.4, -0.2])])
-        drift = lindblad._check_state(stack[:1], "here")
+        drift = lindblad._check_state(stack[:1], 0)
         assert drift[0] == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(DiagnosticError, match=r"eigenvalue -2\.000e-01 below -0\.1 here"):
-            lindblad._check_state(stack, "here")
+        with pytest.raises(DiagnosticError,
+                           match=r"eigenvalue -2\.000e-01 below -0\.1 after the cavity stage"):
+            lindblad._check_state(stack, 0)
 
     def test_blowup_raises_diagnostic_error(self):
         # a huge dissipative step drives the state far from positivity
