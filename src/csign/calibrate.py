@@ -63,11 +63,12 @@ def candidate_table(params: PhysParams, horizon_t: float) -> list[dict]:
     # the odd multiples of the half period, spaced as np.arange(start, stop,
     # step) spaces them, so the durations agree with it bit for bit
     spacing = (start + step) - start
-    count = math.ceil((stop - start) / step)
+    # infinite when horizon_t * unit overflows; ceil(x) > N exactly when x > N
+    count = (stop - start) / step
     if count > MAX_CANDIDATES:
         raise PhysicsValidationError(
             f"horizon_t {horizon_t} gives more than {MAX_CANDIDATES} candidates")
-    taus = (start + i * spacing for i in range(count))
+    taus = (start + i * spacing for i in range(math.ceil(count)))
     return [{"t": tau / unit,
              "delta_over_g": params.delta / params.g,
              "residual": lossless_gate_error(params, tau)}

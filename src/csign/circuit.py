@@ -35,6 +35,7 @@ from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
 from .lindblad import StepperConfig, _check_state, leak_channels, transit
+from .runio import INPUT_SELECTORS
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 #: most points of one Hamiltonian that run as one stack; the one bound on a batch's memory
@@ -233,6 +234,18 @@ def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[fock._logical_block(space)] = block
     return fock.DensityMatrix(space, mat)
+
+
+def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.DensityMatrix:
+    """The run input: the ``p_test`` projector, or a ``random`` valid input from ``seed``."""
+    if seed < 0:
+        raise PhysicsValidationError(f"seed must be >= 0, got {seed}")
+    if selector == "p_test":
+        return p_test(space)
+    if selector == "random":
+        return random_valid_input(space, np.random.default_rng(seed))
+    raise PhysicsValidationError(
+        f"input selector must be one of {INPUT_SELECTORS}, got {selector!r}")
 
 
 def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray):

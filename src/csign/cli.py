@@ -7,9 +7,10 @@ defaults are those of :class:`~csign.circuit.SimParams` and
 :class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
 3 physics validation error, 4 numerical diagnostic error.
 
-Each command imports only what it runs: yaml only with ``--config``, and
-numpy (through circuit, fock, lindblad and sweep) only in ``simulate`` and
-``sweep``; ``calibrate`` runs on the standard library.
+Each command imports only what it runs: yaml only with ``--config``, numpy
+(through circuit, fock and lindblad) only in ``simulate`` and ``sweep``, and
+the sweep engine, with OpenSSL for its manifest hash, only in ``sweep``;
+``calibrate`` runs on the standard library.
 """
 
 from __future__ import annotations
@@ -110,13 +111,13 @@ def _sim_params(args, config) -> circuit.SimParams:
 
 
 def cmd_simulate(args) -> int:
-    from . import circuit, fock, sweep
+    from . import circuit, fock
 
     config = _load_config(args.config)
     params = _sim_params(args, config)
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")
-    state = sweep.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
+    state = circuit.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
     report = circuit.run_array(state, params, space)
     _write_output(args.out, report.to_json(indent=2) + "\n")
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-#: names of the input states a run can start from (see ``sweep.input_state``)
+#: names of the input states a run can start from (see ``circuit.input_state``)
 INPUT_SELECTORS = ("p_test", "random")
 
 

@@ -12,7 +12,6 @@ and lives on the in-memory records).
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
 import math
 import os
@@ -121,6 +120,8 @@ class SweepSpec:
         }
 
     def sha256(self) -> str:
+        import hashlib  # loads OpenSSL, ~3.5 MB: only a manifest pays for it
+
         canonical = json.dumps(self.as_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -156,18 +157,6 @@ def _apply_point(base: circuit.SimParams, point: dict) -> circuit.SimParams:
     return replace(base, **values)
 
 
-def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.DensityMatrix:
-    """The run input: the ``p_test`` projector, or a ``random`` valid input from ``seed``."""
-    if seed < 0:
-        raise PhysicsValidationError(f"seed must be >= 0, got {seed}")
-    if selector == "p_test":
-        return circuit.p_test(space)
-    if selector == "random":
-        return circuit.random_valid_input(space, np.random.default_rng(seed))
-    raise PhysicsValidationError(
-        f"input selector must be one of {INPUT_SELECTORS}, got {selector!r}")
-
-
 def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord:
     return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
                        ly_over_g=params.ly_over_g, phs=params.phs,
@@ -191,8 +180,8 @@ def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
     params = [_apply_point(spec.base, p) for p in points]
     try:
         space = fock.default_state_space()
-        outcomes = circuit.run_batch(input_state(spec.input_state, spec.seed, space),
-                                     params, space)
+        outcomes = circuit.run_batch(
+            circuit.input_state(spec.input_state, spec.seed, space), params, space)
     except Exception as exc:
         outcomes = [exc] * len(params)
     return [_record(p, outcome) for p, outcome in zip(params, outcomes)]

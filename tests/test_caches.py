@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from csign import circuit, dynamics, fock, lindblad, sweep
+from csign import circuit, dynamics, fock, lindblad
 from csign.dynamics import PhysParams
 from csign.errors import PhysicsValidationError
 
 from conftest import random_hermitian
 
-MODULES = (fock, dynamics, circuit, lindblad, sweep)
+MODULES = (fock, dynamics, circuit, lindblad)
 
 
 def clear_caches():
@@ -49,7 +49,7 @@ def random_points(rng, count):
 
 def run(params, selector, seed):
     space = fock.default_state_space()
-    return circuit.run_array(sweep.input_state(selector, seed, space), params, space)
+    return circuit.run_array(circuit.input_state(selector, seed, space), params, space)
 
 
 class TestColdEqualsWarm:

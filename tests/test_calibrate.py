@@ -129,7 +129,8 @@ class TestTables:
         # at resonance a horizon of 2 t units holds one sign-flip candidate
         assert len(calibrate.candidate_table(resonant(), 2.0 * calibrate.MAX_CANDIDATES)) == \
             calibrate.MAX_CANDIDATES
-        for horizon_t in (2.0 * calibrate.MAX_CANDIDATES + 2.0, 1e300):
+        # at g = 0.1 the duration horizon_t * pi / (sqrt(2) g) overflows past about 8e306
+        for horizon_t in (2.0 * calibrate.MAX_CANDIDATES + 2.0, 1e300, 1e307, 1.7e308):
             with pytest.raises(PhysicsValidationError, match="candidates"):
                 calibrate.candidate_table(resonant(), horizon_t)
 

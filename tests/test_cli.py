@@ -251,6 +251,7 @@ class TestExitCodes:
                 (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta"),
                 # finite, but the total time t pi / (sqrt(2) g) overflows
                 (["simulate", "--t", "1e308"], "total time"),
+                (["calibrate", "--horizon-t", "1e307"], "candidates"),
                 # g^2 underflows, so the lowest Rabi frequency is 0
                 (["simulate", "--config", str(tiny_g)], "underflow"),
                 (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow")):
@@ -493,16 +494,15 @@ class TestCalibrateCommand:
         assert code == 2
 
 
-def third_party_modules_after(*argv) -> list[str]:
-    """Which of numpy and yaml a fresh interpreter holds after ``import csign``
-    and, if ``argv`` is given, ``cli.main(argv)``."""
-    code = ("import contextlib, io, json, sys\n"
-            "import csign\n"
-            "if sys.argv[1:]:\n"
-            "    from csign import cli\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(sys.argv[1:]) == 0\n"
-            "print(json.dumps([m for m in ('numpy', 'yaml') if m in sys.modules]))\n")
+#: the costly imports the start-up tests watch: the third-party packages,
+#: OpenSSL (``_hashlib``, under ``hashlib``) and the sweep engine
+WATCHED = ("numpy", "yaml", "_hashlib", "csign.sweep")
+
+
+def modules_after_script(code: str, *argv) -> list[str]:
+    """Which of ``WATCHED`` a fresh interpreter holds after running ``code``."""
+    code += ("import json, sys\n"
+             f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
@@ -510,27 +510,54 @@ def third_party_modules_after(*argv) -> list[str]:
     return json.loads(done.stdout)
 
 
+def modules_after(*argv) -> list[str]:
+    """Which of ``WATCHED`` a fresh interpreter holds after ``import csign``
+    and, if ``argv`` is given, ``cli.main(argv)``."""
+    return modules_after_script(
+        "import contextlib, io, sys\n"
+        "import csign\n"
+        "if sys.argv[1:]:\n"
+        "    from csign import cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(sys.argv[1:]) == 0\n", *argv)
+
+
 class TestStartupImports:
     """Each command imports only what it runs: numpy only for simulate and
-    sweep, yaml only with --config."""
+    sweep, yaml only with --config, OpenSSL only to hash a sweep manifest,
+    and the sweep engine only for a sweep."""
 
     def test_package_import_is_bare(self):
-        assert third_party_modules_after() == []
+        assert modules_after() == []
 
     @pytest.mark.parametrize("argv", [
         ["--horizon-t", "100.5"], ["--ratios", "5/7", "14/15"], ["--out", "{out}"],
     ], ids=lambda argv: argv[0])
     def test_calibrate_loads_neither(self, tmp_path, argv):
         argv = [arg.format(out=tmp_path / "table.csv") for arg in argv]
-        assert third_party_modules_after("calibrate", *argv) == []
+        assert modules_after("calibrate", *argv) == []
 
     def test_config_loads_yaml_only(self, tmp_path):
         cfg = tmp_path / "cal.yaml"
         cfg.write_text("calibrate:\n  horizon_t: 10.0\n")
-        assert third_party_modules_after("calibrate", "--config", str(cfg)) == ["yaml"]
+        assert modules_after("calibrate", "--config", str(cfg)) == ["yaml"]
 
     def test_simulate_loads_yaml_only_with_config(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("physics:\n  t: 1.0\n")
-        assert third_party_modules_after("simulate", "--t", "1") == ["numpy"]
-        assert third_party_modules_after("simulate", "--config", str(cfg)) == ["numpy", "yaml"]
+        assert modules_after("simulate", "--t", "1") == ["numpy"]
+        assert modules_after("simulate", "--config", str(cfg)) == ["numpy", "yaml"]
+
+    def test_sweep_loads_openssl_for_its_manifest(self, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n      values: [1.0]\n")
+        assert modules_after("sweep", "--config", str(cfg), "--workers", "1",
+                             "--out", str(tmp_path / "out")) == list(WATCHED)
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_run_sweep_without_manifest_skips_openssl(self):
+        code = ("from csign import circuit, sweep\n"
+                "spec = sweep.SweepSpec(axes=(sweep.Axis('t', (1.0, 3.0)),),\n"
+                "                       base=circuit.SimParams(t=1.0))\n"
+                "assert [r.status for r in sweep.run_sweep(spec, workers=1)] == ['ok'] * 2\n")
+        assert modules_after_script(code) == ["numpy", "csign.sweep"]

@@ -102,6 +102,13 @@ class TestSweepSpec:
         again = SweepSpec(axes=(Axis("t", (1.0,)),), base=FAST_BASE)
         assert spec.sha256() == again.sha256()
 
+    def test_spec_hash_is_pinned(self):
+        # the manifest's spec_sha256: a change to the spec's canonical JSON or
+        # its hash shows here, not only as a digest that differs from itself
+        spec = SweepSpec(axes=(Axis("t", (1.0,)),), base=FAST_BASE)
+        assert spec.sha256() == \
+            "d74ee5a3e0a903dca1e23fbf61ca806178d21eac491685e14be2347c6db19719"
+
 
 class TestRunSweep:
     def test_single_point_matches_direct_run(self):
@@ -144,7 +151,7 @@ class TestRunSweep:
             SweepSpec(axes=(Axis("t", (2.0,)),), base=FAST_BASE,
                       input_state="random", seed=-1)
         with pytest.raises(PhysicsValidationError, match="seed must be >= 0"):
-            sweep.input_state("random", -1, space)
+            circuit.input_state("random", -1, space)
 
     def test_point_failure_recorded_not_raised(self):
         # an enormous dissipative step blows past the positivity floor
