@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -126,9 +127,19 @@ def cmd_simulate(args) -> int:
 def _write_output(out: str | None, text: str):
     """``text`` to the file ``out`` atomically, or to stdout if ``out`` is unset or "-"."""
     if out and out != "-":
-        atomic_write(out, text)
+        with _writing(out):
+            atomic_write(out, text)
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _writing(path: str):
+    """An OSError from writing the output ``path`` as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
 
 
 def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
@@ -164,8 +175,10 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
 def cmd_sweep(args) -> int:
     from . import sweep
 
-    # workers is a runtime knob, not part of the sweep identity: flag only
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    # workers is a runtime knob, not part of the sweep identity: flag only;
+    # by default one per CPU this process may run on
+    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    workers = args.workers if args.workers is not None else len(usable(0))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     config = _load_config(args.config)
@@ -178,19 +191,22 @@ def cmd_sweep(args) -> int:
     )
     output = config.get("output", {})
     out_dir = args.out if args.out is not None else output.get("dir", "sweep_out")
+    with _writing(out_dir):  # before any point runs
+        os.makedirs(out_dir, exist_ok=True)
 
     records = sweep.run_sweep(spec, workers=workers)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    sweep.write_records_csv(records, csv_path)
     outputs = [csv_path]
-    if any(axis.name == "t" for axis in spec.axes):
-        # strictly-improving durations; the smallest one only seeds the baseline
-        optimal = sweep.extract_optimal_set(records, keep_first=False)
-        optimal_path = os.path.join(out_dir, "optimal_set.csv")
-        sweep.write_optimal_csv(optimal, optimal_path)
-        outputs.append(optimal_path)
-    sweep.write_manifest(spec, os.path.join(out_dir, "manifest.json"),
-                         engine_version=__version__, csv_paths=outputs)
+    with _writing(out_dir):
+        sweep.write_records_csv(records, csv_path)
+        if any(axis.name == "t" for axis in spec.axes):
+            # strictly-improving durations; the smallest one only seeds the baseline
+            optimal = sweep.extract_optimal_set(records, keep_first=False)
+            optimal_path = os.path.join(out_dir, "optimal_set.csv")
+            sweep.write_optimal_csv(optimal, optimal_path)
+            outputs.append(optimal_path)
+        sweep.write_manifest(spec, os.path.join(out_dir, "manifest.json"),
+                             engine_version=__version__, csv_paths=outputs)
     failed = sum(1 for r in records if r.status != "ok")
     print(f"wrote {len(records)} records ({failed} failed) to {csv_path}")
     return 0
@@ -265,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, "output directory (default output.dir, else sweep_out)")
     run_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int,
-                         help="parallel worker processes (default: all cores)")
+                         help="parallel worker processes (default: the usable CPUs)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="emit calibration candidate tables")

@@ -40,15 +40,14 @@ however many the caller stacks.  On this model a small matrix product costs
 mostly per call, not per matrix, so a point's share of an eight-point call
 costs less than half of what a lone point costs.
 
-The spectrum of H (cached by H's bytes) and the sector partition (cached by
-the zero patterns) are shared by every point of a sweep at one H.
+Nothing is cached: a ``closed_form`` stack or a ``stepped`` call takes the
+spectrum of H once, and a ``stepped`` call one sector partition.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -113,29 +112,23 @@ POSITIVITY_LIMIT = -0.1  # genuine runs sit at round-off; blowups are O(1) negat
 
 
 def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(evals, evecs) of the Hermitian H, cached by its dtype, shape and bytes:
-    the points of a duration or leak sweep share one H."""
-    h = np.asarray(h)
-    return _eigh(h.dtype.str, h.shape, h.tobytes())
-
-
-@lru_cache(maxsize=16)
-def _eigh(dtype: str, shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # a non-Hermitian H raises before it is stored, so it raises on every call
-    h = np.frombuffer(data, dtype=dtype).reshape(shape)
+    """(evals, evecs) of the Hermitian H; PhysicsValidationError if H is not."""
     herm = np.max(np.abs(h - h.conj().T))
     if herm > NON_HERMITIAN_LIMIT:
         raise PhysicsValidationError(f"generator non-Hermitian by {herm:.3e}")
-    evals, evecs = np.linalg.eigh(h)
-    return fock.frozen(evals), fock.frozen(evecs)
+    return np.linalg.eigh(h)
+
+
+def _exponential(evals: np.ndarray, evecs: np.ndarray, dt) -> np.ndarray:
+    """:func:`unitary_step_matrix` from the spectrum of H."""
+    phases = np.exp(-1j * np.asarray(dt)[..., None] * evals)
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
 def unitary_step_matrix(h: np.ndarray, dt) -> np.ndarray:
     """exp(-i dt H) through the spectral decomposition of the Hermitian H;
     for an array of times, the stack of one exponential per time."""
-    evals, evecs = _spectrum(h)
-    phases = np.exp(-1j * np.asarray(dt)[..., None] * evals)
-    return (evecs * phases[..., None, :]) @ evecs.conj().T
+    return _exponential(*_spectrum(np.asarray(h)), dt)
 
 
 def closed_form(rho: np.ndarray, h: np.ndarray, times) -> np.ndarray:
@@ -219,23 +212,12 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
 def _partition(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
     """The mask of state pairs inside one block of H, and the :func:`_sectors`
     of the union of the zero patterns of ``half_m`` and the jumps over a stack
-    of points, equal to or coarser than each point's own.  Both are cached by
-    the zero patterns, which every point of a leak sweep shares."""
+    of points, equal to or coarser than each point's own."""
     dim, n_jumps = h.shape[0], jumps.shape[-3]
     m_nz = (half_m != 0).reshape(-1, dim, dim).any(axis=0)
     jumps_nz = (jumps != 0).reshape(-1, n_jumps, dim, dim).any(axis=0)
-    return _partition_of(dim, n_jumps, (h != 0).tobytes(), m_nz.tobytes(),
-                         jumps_nz.tobytes())
-
-
-@lru_cache(maxsize=16)
-def _partition_of(dim: int, n_jumps: int, h_nz: bytes, m_nz: bytes, jumps_nz: bytes):
-    h_nz, m_nz = (np.frombuffer(nz, dtype=bool).reshape(dim, dim) for nz in (h_nz, m_nz))
-    jumps_nz = np.frombuffer(jumps_nz, dtype=bool).reshape(n_jumps, dim, dim)
-    h_block = _components(h_nz)
-    sectors = tuple(tuple(fock.frozen(ix) for ix in group)
-                    for group in _sectors(h_nz, m_nz, jumps_nz))
-    return fock.frozen(h_block[:, None] == h_block), sectors
+    h_block = _components(h != 0)
+    return h_block[:, None] == h_block, _sectors(h, m_nz, jumps_nz)
 
 
 def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
@@ -397,7 +379,8 @@ def stepped(rho: np.ndarray, h: np.ndarray,
     times = np.asarray(times, dtype=float)
     h = np.asarray(h)
     dts = times / cfg.dt_steps
-    norm = float(np.max(np.abs(_spectrum(h)[0])))  # ||H|| of a Hermitian H
+    evals, evecs = _spectrum(h)
+    norm = float(np.max(np.abs(evals)))  # ||H|| of a Hermitian H
     for dt in dts:
         if dt * norm > 0.1:
             warnings.warn(
@@ -408,5 +391,5 @@ def stepped(rho: np.ndarray, h: np.ndarray,
     jumps, half_m = (np.stack(arrays) for arrays in zip(*map(_pack_channels, channel_sets)))
     same_block, sectors = _partition(h, half_m, jumps)
     # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
-    u = np.where(same_block, unitary_step_matrix(h, dts), 0)
+    u = np.where(same_block, _exponential(evals, evecs, dts), 0)
     return _power_by_sector(rho, u, jumps, half_m, dts, cfg.dt_steps, sectors)

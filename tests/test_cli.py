@@ -229,6 +229,58 @@ class TestExitCodes:
         assert f"--workers must be >= 1, got {workers}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["simulate", "--t", "1"],
+                                         ["calibrate", "--horizon-t", "5"]],
+                             ids=lambda argv: argv[0])
+    def test_out_is_a_directory_exits_2(self, capsys, tmp_path, command):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert f"cannot write output {target}" in err
+        assert os.listdir(target) == [] and os.listdir(tmp_path) == ["taken"]
+
+    def test_sweep_out_is_a_file_exits_2_before_any_point(self, capsys, tmp_path,
+                                                          monkeypatch):
+        from csign import sweep
+
+        def run_sweep(spec, workers=1):
+            raise AssertionError("a point ran before the output was checked")
+
+        monkeypatch.setattr(sweep, "run_sweep", run_sweep)
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n      values: [1.0]\n")
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                                 "--out", str(target))
+        assert (code, out) == (2, "")
+        assert f"cannot write output {target}" in err
+        assert target.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["sweep.yaml", "taken"]
+
+    @pytest.mark.parametrize("affinity,expected", [({0}, 1), (None, 2)],
+                             ids=["affinity", "no-affinity"])
+    def test_default_workers_are_the_usable_cpus(self, capsys, tmp_path, monkeypatch,
+                                                 affinity, expected):
+        # pinned to one of two CPUs, the default starts one worker
+        from csign import sweep
+
+        seen = []
+        monkeypatch.setattr(sweep, "run_sweep",
+                            lambda spec, workers=1: seen.append(workers) or [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: delta_over_g\n      values: [0.0]\n")
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+        assert (code, seen) == (0, [expected])
+
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("physics: [unclosed\n")

@@ -62,6 +62,47 @@ class TestUnitaryStep:
             lindblad.unitary_step_matrix(h, 0.1)
 
 
+class TestSpectrum:
+    """Nothing caches the spectrum of H: each ``closed_form`` stack and each
+    ``stepped`` call takes it once, however often the same H comes back."""
+
+    def test_non_hermitian_raises_every_call(self):
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rho = fock.DensityMatrix(SimpleNamespace(dim=2), np.diag([1.0, 0.0]))
+        for _ in range(2):
+            with pytest.raises(PhysicsValidationError):
+                lindblad.unitary_step_matrix(h, 0.1)
+            with pytest.raises(PhysicsValidationError):
+                lindblad.evolve(rho, h, [], 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # step phase
+    def test_one_eigh_per_stack(self, space, probe, monkeypatch):
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        rho = bs @ probe.matrix @ bs.conj().T
+        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 1e-2, 3e-2)]
+        times = [5.0, 40.0, 99.0]
+        cfg = StepperConfig(dt_steps=200)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def eigh_spy(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        runs = []
+        for _ in range(2):  # a first call, then the same H again
+            closed = lindblad.closed_form(rho, h, times)
+            assert len(calls) == 1
+            leaky = lindblad.stepped(rho, h, channel_sets, times, cfg)
+            assert len(calls) == 2
+            calls.clear()
+            runs.append((closed, leaky))
+        for first, again in zip(*runs):
+            assert np.array_equal(first, again)
+
+
 class TestLindbladStep:
     """One trotter update: ``evolve`` with a single step."""
 
@@ -326,7 +367,6 @@ class TestStepped:
         jumps, half_m = (np.stack(a) for a in zip(*map(lindblad._pack_channels, channel_sets)))
         partitions = [lindblad._partition(h, half_m, jumps)]
         partitions += [lindblad._partition(h, m, j) for j, m in zip(jumps, half_m)]
-        assert len({id(partition) for partition in partitions}) == 2
         assert len({partition_bytes(partition) for partition in partitions}) == 1
         mats = lindblad.stepped(rho, h, channel_sets, times, cfg)
         drift = lindblad._check_state(mats, cfg.dt_steps)
