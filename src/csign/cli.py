@@ -71,8 +71,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as handle:
             data = yaml.safe_load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if data is None:
@@ -223,6 +223,9 @@ def cmd_calibrate(args) -> int:
     params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)
     section = _settings(args, config, "calibrate")
     ratios = section.get("ratios")
+    if ratios and "horizon_t" in section:
+        raise ConfigError("calibrate takes calibrate.horizon_t (--horizon-t) or "
+                          "calibrate.ratios (--ratios), not both")
 
     lines = []
     if ratios:

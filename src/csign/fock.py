@@ -91,17 +91,19 @@ class BasisState:
 
 
 @dataclass(frozen=True)
-class _Space:
-    """An ordered basis with its index map, hashed once: the per-space caches
-    below key on it.
-
-    Equality still compares the states, so two separately built spaces with
-    the same basis are equal and share cache entries.
-    """
+class StateSpace:
+    """A sorted basis of unique states (:class:`BasisState`, or the photonic
+    occupation tuples of :func:`partial_trace_atoms`) with its index map,
+    hashed once: the per-space caches below key on it.  Equality still
+    compares the states, so equal bases share cache entries."""
 
     states: tuple
 
     def __post_init__(self):
+        if list(self.states) != sorted(self.states):
+            raise PhysicsValidationError("StateSpace states must be lexicographically sorted")
+        if len(set(self.states)) != len(self.states):
+            raise PhysicsValidationError("StateSpace states must be unique")
         object.__setattr__(self, "_hash", hash(self.states))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
@@ -115,23 +117,8 @@ class _Space:
     def index_of(self, state) -> int:
         return self._index[state]
 
-
-class StateSpace(_Space):
-    """Ordered basis of :class:`BasisState`."""
-
-    def __post_init__(self):
-        if list(self.states) != sorted(self.states):
-            raise PhysicsValidationError("StateSpace states must be lexicographically sorted")
-        if len(set(self.states)) != len(self.states):
-            raise PhysicsValidationError("StateSpace states must be unique")
-        super().__post_init__()
-
-    def __contains__(self, state: BasisState) -> bool:
+    def __contains__(self, state) -> bool:
         return state in self._index
-
-
-class PhotonSpace(_Space):
-    """Photonic occupations only, the target basis of the atom partial trace."""
 
 
 class DensityMatrix:
@@ -162,14 +149,8 @@ class DensityMatrix:
         return float(self.matrix.trace().real)
 
 
-def computational_seed(qx: int, qy: int) -> BasisState:
-    """Dual-rail encoding: logical 1 puts the photon on rail 1 of the pair."""
-    if qx not in (0, 1) or qy not in (0, 1):
-        raise PhysicsValidationError(f"logical bits must be 0/1, got ({qx}, {qy})")
-    return BasisState(qx, 1 - qx, qy, 1 - qy, G, G)
-
-
-SEEDS = tuple(computational_seed(qx, qy) for qx, qy in ((0, 0), (0, 1), (1, 0), (1, 1)))
+#: the logical basis |00>, |01>, |10>, |11>; logical 1 puts the photon on rail 1
+SEEDS = tuple(BasisState(qx, 1 - qx, qy, 1 - qy, G, G) for qx in (0, 1) for qy in (0, 1))
 
 
 def enumerate_states() -> StateSpace:
@@ -254,38 +235,23 @@ def _logical_block(space: StateSpace) -> tuple:
     return tuple(frozen(ix) for ix in np.ix_(idx, idx))
 
 
-@lru_cache(maxsize=None)
-def photon_space(space: StateSpace) -> PhotonSpace:
-    """Distinct photonic occupations appearing in the basis, sorted."""
-    return PhotonSpace(tuple(sorted({s.occupations for s in space.states})))
-
-
-@lru_cache(maxsize=None)
-def _atom_blocks(space: StateSpace) -> tuple:
-    """Per atom configuration, the ``np.ix_`` gather of its basis block and the
-    scatter into :func:`photon_space`; within one configuration the photonic
-    occupations are distinct."""
-    target = photon_space(space)
-    atoms = [(s.a1, s.a2) for s in space.states]
-    blocks = []
-    for config in sorted(set(atoms)):
-        rows = [i for i, a in enumerate(atoms) if a == config]
-        cols = [target.index_of(space.states[i].occupations) for i in rows]
-        blocks.append(tuple(tuple(frozen(ix) for ix in np.ix_(idx, idx))
-                            for idx in (rows, cols)))
-    return tuple(blocks)
-
-
 def partial_trace_atoms(rho: DensityMatrix) -> DensityMatrix:
     """Trace out both atoms, keeping the photonic occupations.
 
+    The result lives on the sorted photonic occupations of the basis.
     Coherences between different atom configurations drop; the trace is
     preserved exactly because every basis state contributes its diagonal.
     """
-    target = photon_space(rho.space)
+    states = rho.space.states
+    target = StateSpace(tuple(sorted({s.occupations for s in states})))
     reduced = np.zeros((target.dim, target.dim), dtype=complex)
-    for rows, cols in _atom_blocks(rho.space):
-        reduced[cols] += rho.matrix[rows]
+    atoms = [(s.a1, s.a2) for s in states]
+    # within one atom configuration the photonic occupations are distinct;
+    # the configurations add into shared entries, so in a fixed order
+    for config in sorted(set(atoms)):
+        rows = [i for i, a in enumerate(atoms) if a == config]
+        cols = [target.index_of(states[i].occupations) for i in rows]
+        reduced[np.ix_(cols, cols)] += rho.matrix[np.ix_(rows, rows)]
     # no re-validation: the map is linear, so the output is exactly as valid
     # as its input (first-order stepping legitimately leaves O(dt) negativity)
     return DensityMatrix(target, reduced, check=False)

@@ -291,13 +291,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--config", "/nope/none.yaml")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-text", "no-permission"])
+    def test_unreadable_config_exits_2_and_names_it(self, capsys, tmp_path, kind):
+        cfg = tmp_path / "cal.yaml"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-text":
+            cfg.write_bytes(b"\xff\xfephysics:\n  g: 0.1\n")
+        else:
+            if os.geteuid() == 0:
+                pytest.skip("root reads a file whatever its permission bits")
+            cfg.write_text("physics:\n  g: 0.1\n")
+            cfg.chmod(0)
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(cfg),
+                                 "--horizon-t", "3")
+        assert (code, out) == (2, "")
+        assert f"cannot read config file {cfg}" in err
+
     def test_physics_validation_exits_3(self, capsys, tmp_path):
         tiny_g = tmp_path / "tiny_g.yaml"
         tiny_g.write_text("physics:\n  g: 1.0e-310\nsweep:\n  axes:\n"
                           "    - name: t\n      values: [1.0, 3.0]\n")
+        zero_g = tmp_path / "zero_g.yaml"
+        zero_g.write_text("physics:\n  g: 0.0\n")
         out_path = tmp_path / "out"
         for argv, name in (
                 (["simulate", "--t", "-1"], "t"),
+                # checked before the total time divides by g
+                (["simulate", "--t", "3", "--config", str(zero_g)], "g must be positive"),
                 # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
                 (["calibrate", "--horizon-t", "10", "--delta-over-g", "1e200"], "delta"),
                 (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta"),
@@ -540,6 +561,20 @@ class TestCalibrateCommand:
         code, out, err = run_cli(capsys, "calibrate", "--horizon-t", "1e300")
         assert (code, out) == (3, "")
         assert "candidates" in err
+
+    @pytest.mark.parametrize("config,flags", [
+        ("", ["--horizon-t", "10", "--ratios", "14/15"]),
+        ("calibrate:\n  horizon_t: 10.0\n  ratios: [14/15]\n", []),
+        ("calibrate:\n  horizon_t: 10.0\n", ["--ratios", "14/15"]),
+    ], ids=["flags", "config", "both"])
+    def test_horizon_and_ratios_exit_2(self, capsys, tmp_path, config, flags):
+        # two tables asked for: neither is dropped silently
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] if config else []
+        code, out, err = run_cli(capsys, "calibrate", *argv, *flags)
+        assert (code, out) == (2, "")
+        assert "calibrate.horizon_t" in err and "calibrate.ratios" in err
 
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ratios", "one-half")

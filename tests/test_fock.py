@@ -180,13 +180,9 @@ class TestDualRail:
         (0, 1, (0, 1, 1, 0, 0, 0)),
     ])
     def test_encoding(self, space, qx, qy, expected):
-        assert astuple(fock.computational_seed(qx, qy)) == expected
+        assert astuple(fock.SEEDS[2 * qx + qy]) == expected
         idx = fock.computational_indices(space)[2 * qx + qy]
         assert astuple(space.states[idx]) == expected
-
-    def test_rejects_bad_bits(self, space):
-        with pytest.raises(PhysicsValidationError):
-            fock.computational_seed(2, 0)
 
     def test_rejects_state_outside_space(self):
         trimmed = fock.StateSpace(tuple(s for s in fock.default_state_space().states
@@ -241,6 +237,13 @@ class TestPartialTrace:
             expected, photon_states = partial_trace_atoms_oracle(mat, tuples)
             assert tuple(photon_states) == red.space.states
             assert np.allclose(red.matrix, expected, atol=1e-12)
+
+    def test_photonic_basis_is_a_state_space_of_sorted_occupations(self, space):
+        red = fock.partial_trace_atoms(fock.DensityMatrix(space, circuit.p_test(space).matrix))
+        assert isinstance(red.space, fock.StateSpace)
+        assert red.space.states == tuple(sorted({s.occupations for s in space.states}))
+        assert red.space.dim == 13
+        assert (0, 1, 0, 1) in red.space and fock.SEEDS[0] not in red.space
 
     def test_linear_and_trace_preserving(self, space, rng):
         a = random_hermitian(rng, space.dim, trace_one=True)
