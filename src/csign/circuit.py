@@ -34,7 +34,7 @@ from . import fock
 from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
-from .lindblad import StepperConfig, _check_state, leak_channels, transit
+from .lindblad import StepperConfig, _check_state, leak_operators, transit
 from .runio import INPUT_SELECTORS
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
@@ -71,6 +71,9 @@ class SimParams:
         if not math.isfinite(self.total_time):
             raise PhysicsValidationError(
                 f"duration t = {self.t} at g = {self.g} overflows the total time")
+        if not math.isfinite((self.ly_over_g * self.g) * (self.ly_over_g * self.g)):
+            raise PhysicsValidationError(
+                f"ly_over_g = {self.ly_over_g} at g = {self.g} overflows the leak rate")
 
     @property
     def total_time(self) -> float:
@@ -345,13 +348,13 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
             phi, steps, paths = np.zeros(n), [0] * n, ["ideal_ns"] * n
         else:
             phys = params_seq[0].phys
-            channel_sets = [leak_channels(space, p.ly_over_g * p.g) for p in params_seq]
+            lys = [p.ly_over_g * p.g for p in params_seq]
             phi = np.array([compensating_phase(phys, p.total_time) if p.phs else 0.0
                             for p in params_seq])
             h = build_array_hamiltonian(space, phys, frame="rotating")
-            mats, steps = transit(stage_in, h, channel_sets,
+            mats, steps = transit(stage_in, h, leak_operators(space), lys,
                                   [p.total_time for p in params_seq], params_seq[0].stepper)
-            paths = ["stepped" if channels else "closed_form" for channels in channel_sets]
+            paths = ["stepped" if ly else "closed_form" for ly in lys]
         drift = _check_state(mats, max(steps))
         shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
         if shifted:

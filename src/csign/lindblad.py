@@ -17,8 +17,8 @@ the dissipator at first order:
 
 The unitary factor is exact (spectral exponential); the dissipator makes the
 scheme first order in dt.  A leaky run of duration T is ``dt_steps`` steps of
-dt = T / dt_steps.
-Jump prefactors (the leak coefficient) are folded into the L matrices.
+dt = T / dt_steps.  The points of a call share one stack of unit jumps
+(:func:`leak_operators`) and point k's jumps are ``lys[k]`` times it.
 
 The step is linear and the same at every step, so the run is the
 ``dt_steps``-th power of the one-step map Phi on vec(rho).  Phi never mixes
@@ -33,12 +33,12 @@ The transpose of a sector is a sector, its partner, whose block is the
 complex conjugate, entry for entry, so one power serves both; on ``p_test``
 the 44 sectors the input touches need 24 powers.
 
-``stepped`` runs many leaky points from one input on one sector partition
-and gathers the step entries of all touched sectors at once; all sectors of
-one size are raised in one call for all its points (six calls on ``p_test``),
-however many the caller stacks.  On this model a small matrix product costs
-mostly per call, not per matrix, so a point's share of an eight-point call
-costs less than half of what a lone point costs.
+``stepped`` runs many leaky points from one input on the sector partition
+of their one jump stack and gathers the step entries of all touched sectors
+at once; all sectors of one size are raised in one call for all its points
+(six calls on ``p_test``), however many the caller stacks.  On this model a
+small matrix product costs mostly per call, not per matrix, so a point's
+share of an eight-point call costs less than half of what a lone point costs.
 
 Nothing is cached: a ``closed_form`` stack or a ``stepped`` call takes the
 spectrum of H once, and a ``stepped`` call one sector partition.
@@ -69,16 +69,10 @@ class LindbladChannel:
         object.__setattr__(self, "matrix", m)
 
 
-def leak_channels(space: fock.StateSpace, ly: float) -> list[LindbladChannel]:
-    """Photon-leak jumps from both cavity rails, L = ly * a_rail."""
-    if ly < 0:
-        raise PhysicsValidationError(f"leak coefficient must be >= 0, got {ly}")
-    if ly == 0:
-        return []
-    return [
-        LindbladChannel(ly * fock.annihilation_matrix("x1", space), "leak-cavity-A"),
-        LindbladChannel(ly * fock.annihilation_matrix("y1", space), "leak-cavity-B"),
-    ]
+def leak_operators(space: fock.StateSpace) -> np.ndarray:
+    """The photon-leak jumps at unit coefficient, a on each cavity rail; a
+    point of leak coefficient ly has the jumps ly * a_x1 and ly * a_y1."""
+    return np.stack([fock.annihilation_matrix(rail, space) for rail in ("x1", "y1")])
 
 
 @dataclass(frozen=True)
@@ -137,17 +131,6 @@ def closed_form(rho: np.ndarray, h: np.ndarray, times) -> np.ndarray:
     return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
-def _pack_channels(channels: Sequence[LindbladChannel]):
-    """The jumps stacked, and half_m = sum_k L_k^dag L_k / 2."""
-    jumps = np.stack([c.matrix for c in channels])
-    return jumps, 0.5 * (jumps.conj().transpose(0, 2, 1) @ jumps).sum(axis=0)
-
-
-def _components(links: np.ndarray) -> np.ndarray:
-    """Connected-component label (0, 1, ...) of each node of a boolean adjacency."""
-    return _union(len(links), *np.nonzero(links))
-
-
 def _union(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Component label (0, 1, ...) of each of ``n`` nodes joined by the edges
     (src[k], dst[k]), numbered in the order of each component's smallest node."""
@@ -166,23 +149,27 @@ def _union(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.unique([find(i) for i in range(n)], return_inverse=True)[1]
 
 
-def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
+def _sectors(h: np.ndarray, jumps: np.ndarray):
     """The groups of entries of rho that the one-step map never mixes.
 
-    States linked by H or by ``half_m`` form blocks; the unitary and the
-    ``half_m`` terms keep an entry (i, j) inside its block pair.  A jump
+    States linked by H or by sum L^dag L form blocks; the unitary and the
+    L^dag L terms keep an entry (i, j) inside its block pair.  A jump
     carries block pair (C, D) to (A, B) when it links C to A and D to B.
+    The patterns of the stack ``jumps`` serve every multiple ly * jumps of
+    it: they are its own, or coarser where ly^2 underflows.
 
     The transpose of a sector S (the entries (j, i) of its (i, j)) is a
     sector too, S's partner, and its block of the one-step map is conj of
     that of S, entry for entry.  So only one sector of each pair is kept.
-    Returns one (rows, cols, paired) per sector size: sector k holds the
-    entries (rows[k], cols[k]), both of shape (sectors, size), and
+    Returns the mask of state pairs inside one block, on which U is
+    block-diagonal, and one (rows, cols, paired) per sector size: sector k
+    holds the entries (rows[k], cols[k]), both of shape (sectors, size), and
     ``paired[k]`` is true when its partner (cols[k], rows[k]) is a different
     sector, false when the sector is its own transpose.
     """
     dim = h.shape[0]
-    state_block = _components((h != 0) | (half_m != 0))
+    decay = (jumps.conj().swapaxes(-1, -2) @ jumps).sum(axis=0)
+    state_block = _union(dim, *np.nonzero((h != 0) | (decay != 0)))
     n_blocks = state_block.max() + 1
     src, dst = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for jump in jumps:
@@ -206,18 +193,7 @@ def _sectors(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
         start += count
         first = entries[:, 0]
         groups.append((*np.divmod(entries, dim), sector[first] < partner[first]))
-    return groups
-
-
-def _partition(h: np.ndarray, half_m: np.ndarray, jumps: np.ndarray):
-    """The mask of state pairs inside one block of H, and the :func:`_sectors`
-    of the union of the zero patterns of ``half_m`` and the jumps over a stack
-    of points, equal to or coarser than each point's own."""
-    dim, n_jumps = h.shape[0], jumps.shape[-3]
-    m_nz = (half_m != 0).reshape(-1, dim, dim).any(axis=0)
-    jumps_nz = (jumps != 0).reshape(-1, n_jumps, dim, dim).any(axis=0)
-    h_block = _components(h != 0)
-    return h_block[:, None] == h_block, _sectors(h, m_nz, jumps_nz)
+    return state_block[:, None] == state_block, groups
 
 
 def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
@@ -253,26 +229,18 @@ def _power_by_sector(rho, u, jumps, half_m, dt, n_steps, sectors):
 
     def sides(op):  # A's entries and conj(B)'s in A (x) conj(B), one row per point
         flat = op.reshape(len(op), dim * dim)
-        conj_side = flat[:, right]
-        return flat[:, left], np.conj(conj_side, out=conj_side)
+        return flat[:, left], flat[:, right].conj()
 
-    # in place, with every product's operands in the order of the formula
+    # every product's operands in the order of the formula
     # (with FMA, a * b and b * a can round apart)
     dt = np.asarray(dt)[:, None]
-    u_left, u_right = sides(u)
-    step = u_left * u_right
-    m_left, m_right = sides(half_m @ u)
-    m_left *= u_right
-    np.multiply(u_left, m_right, out=m_right)
-    m_left += m_right
-    np.multiply(dt, m_left, out=m_left)
-    step -= m_left
-    del u_left, u_right, m_left, m_right
+    u_l, u_r = sides(u)
+    m_l, m_r = sides(half_m @ u)
+    step = u_l * u_r - dt * (m_l * u_r + u_l * m_r)
+    del u_l, u_r, m_l, m_r  # the jump terms reuse this memory: fewer fresh pages
     for lu in (jumps @ u[:, None]).swapaxes(0, 1):
-        l_left, l_right = sides(lu)
-        np.multiply(dt, l_left, out=l_left)
-        l_left *= l_right
-        step += l_left
+        l_l, l_r = sides(lu)
+        step += dt * l_l * l_r
     at = 0
     for rows, cols, paired in touched:
         count, size = rows.shape
@@ -310,37 +278,35 @@ def _check_state(rho: np.ndarray, n_steps: int):
     return drift
 
 
-def transit(rho: np.ndarray, h: np.ndarray,
-            channel_sets: Sequence[Sequence[LindbladChannel]], times,
+def transit(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, lys, times,
             cfg: StepperConfig = StepperConfig()) -> tuple[np.ndarray, list[int]]:
     """The cavity-stage transit of ``rho`` for T = ``times[k]`` under H and the
-    jumps of ``channel_sets[k]``, for each k, as one stack, and each point's
-    step count: ``cfg.dt_steps`` for the leaky points at T > 0, else 0.
+    jumps ``lys[k] * jumps`` (one (n, d, d) stack), for each k, as one stack,
+    and each point's step count: ``cfg.dt_steps`` if leaky, else 0.
 
-    A point at T = 0 keeps ``rho``; the lossless points (no jump) run as one
+    A point at T = 0 keeps ``rho``; one at T > 0 is leaky when ``lys[k] > 0``
+    and the stack is not empty.  The lossless points run as one
     :func:`closed_form` stack and the leaky ones as one :func:`stepped` call.
     The map is linear in ``rho`` and checks nothing, so a matrix that is not
     a state (a matrix unit, say) evolves right too.  The caller checks the
     states it gets with :func:`_check_state`.
     """
     times = np.asarray(times, dtype=float)
+    lys = np.asarray(lys, dtype=float)
     if (times < 0).any():
         raise PhysicsValidationError(f"total_time must be >= 0, got {times.min()}")
+    if not (lys >= 0).all():
+        raise PhysicsValidationError(f"leak coefficient must be >= 0, got {lys.min()}")
     mats = np.empty((len(times),) + rho.shape, dtype=complex)
-    closed, leaky, steps = [], [], [0] * len(times)
-    for k, (total, channels) in enumerate(zip(times.tolist(), channel_sets)):
-        if total == 0:
-            mats[k] = rho
-        elif channels:
-            leaky.append(k)
-            steps[k] = cfg.dt_steps
-        else:
-            closed.append(k)
-    if closed:
+    still = times == 0
+    leaky = ~still & (lys > 0) & (len(jumps) > 0)
+    closed = ~still & ~leaky
+    mats[still] = rho
+    if closed.any():
         mats[closed] = closed_form(rho, h, times[closed])
-    if leaky:
-        mats[leaky] = stepped(rho, h, [channel_sets[k] for k in leaky], times[leaky], cfg)
-    return mats, steps
+    if leaky.any():
+        mats[leaky] = stepped(rho, h, jumps, lys[leaky], times[leaky], cfg)
+    return mats, np.where(leaky, cfg.dt_steps, 0).tolist()
 
 
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
@@ -348,48 +314,44 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
            cfg: StepperConfig = StepperConfig()) -> EvolveResult:
     """Evolve the density matrix for ``total_time`` under H and the jump channels.
 
-    The one-point case of :func:`transit`, then the state check: a trace
-    drift beyond ``StepperConfig.trace_tol``, a clearly negative eigenvalue
-    or a non-finite entry raises :class:`DiagnosticError`.  With no jump
-    channel the result is U rho U^dag with U = exp(-i H T), exact, so
-    ``dt_steps`` has no effect ("closed_form", no steps).  With jumps it is
-    that of exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
+    The one-point case of :func:`transit` (the channels' matrices at
+    coefficient 1), then the state check: a trace drift beyond
+    ``StepperConfig.trace_tol``, a clearly negative eigenvalue or a
+    non-finite entry raises :class:`DiagnosticError`.  With no jump channel
+    the result is U rho U^dag with U = exp(-i H T), exact, so ``dt_steps``
+    has no effect ("closed_form", no steps).  With jumps it is that of
+    exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
     ("stepped").  At T = 0 the result is ``rho`` itself.
     """
-    mats, (n_steps,) = transit(rho.matrix, h, [channels], [total_time], cfg)
+    jumps = np.array([c.matrix for c in channels], complex).reshape((-1,) + rho.matrix.shape)
+    mats, (n_steps,) = transit(rho.matrix, h, jumps, [1.0], [total_time], cfg)
     drift = _check_state(mats, n_steps)
     out = rho if total_time == 0 else fock.DensityMatrix(rho.space, mats[0], check=False)
     return EvolveResult(out, n_steps, float(drift[0]),
                         "stepped" if channels else "closed_form")
 
 
-def stepped(rho: np.ndarray, h: np.ndarray,
-            channel_sets: Sequence[Sequence[LindbladChannel]], times,
+def stepped(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, lys, times,
             cfg: StepperConfig = StepperConfig()) -> np.ndarray:
     """Exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps from
-    ``rho`` under H and the jumps of ``channel_sets[k]``, for each T =
+    ``rho`` under H and the jumps ``lys[k] * jumps``, for each T =
     ``times[k]``, as one stack; :func:`transit` runs its leaky points here.
 
-    Every channel set holds the same number of jumps (two in every call of
-    the pipeline).  All points take the :func:`_partition` of their union
-    zero pattern; for the leaks of :func:`leak_channels` it is each point's
-    own (L^dag L is diagonal and links no two states), so a point's numbers
-    do not depend on the others.
+    All points take the :func:`_sectors` of the one stack ``jumps``, on which
+    each point's map is exact, so a point's numbers do not depend on the others.
     """
-    times = np.asarray(times, dtype=float)
     h = np.asarray(h)
-    dts = times / cfg.dt_steps
+    dts = np.asarray(times, dtype=float) / cfg.dt_steps
     evals, evecs = _spectrum(h)
-    norm = float(np.max(np.abs(evals)))  # ||H|| of a Hermitian H
-    for dt in dts:
-        if dt * norm > 0.1:
-            warnings.warn(
-                f"step phase dt*||H|| = {dt * norm:.3g} rad exceeds 0.1; "
-                "consider more dt_steps or the rotating frame",
-                RuntimeWarning, stacklevel=3)
+    for phase in dts * float(np.max(np.abs(evals))):  # dt * ||H|| of a Hermitian H
+        if phase > 0.1:
+            warnings.warn(f"step phase dt*||H|| = {phase:.3g} rad exceeds 0.1; "
+                          "consider more dt_steps (--dt-steps, stepper.dt_steps)",
+                          RuntimeWarning, stacklevel=3)
 
-    jumps, half_m = (np.stack(arrays) for arrays in zip(*map(_pack_channels, channel_sets)))
-    same_block, sectors = _partition(h, half_m, jumps)
-    # U is exactly block-diagonal on H's blocks; drop eigh's round-off outside
+    point_jumps = np.asarray(lys, dtype=float)[:, None, None, None] * jumps
+    half_m = 0.5 * (point_jumps.conj().swapaxes(-1, -2) @ point_jumps).sum(axis=1)
+    same_block, sectors = _sectors(h, jumps)
+    # U is exactly block-diagonal on these blocks; drop eigh's round-off outside
     u = np.where(same_block, _exponential(evals, evecs, dts), 0)
-    return _power_by_sector(rho, u, jumps, half_m, dts, cfg.dt_steps, sectors)
+    return _power_by_sector(rho, u, point_jumps, half_m, dts, cfg.dt_steps, sectors)

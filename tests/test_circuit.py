@@ -260,7 +260,8 @@ class TestRunArray:
         stage_in = fock.DensityMatrix(space, b @ probe.matrix @ b.conj().T, check=False)
         for ly_over_g in (0.0, 0.1):
             params = SimParams(t=2.0, delta_over_g=1.1, ly_over_g=ly_over_g)
-            channels = lindblad.leak_channels(space, params.ly_over_g * params.g)
+            jumps = params.ly_over_g * params.g * lindblad.leak_operators(space)
+            channels = [lindblad.LindbladChannel(j) for j in jumps] if ly_over_g else []
             lab, rot = (lindblad.evolve(
                 stage_in, build_array_hamiltonian(space, params.phys, frame=frame),
                 channels, params.total_time, FAST).rho.matrix
@@ -384,9 +385,9 @@ class TestClosedFormTransit:
         calls = []
         stepped, closed_form = lindblad.stepped, lindblad.closed_form
 
-        def stepped_spy(rho, h, channel_sets, times, cfg):
-            calls.append(("stepped", [len(c) for c in channel_sets], list(times)))
-            return stepped(rho, h, channel_sets, times, cfg)
+        def stepped_spy(rho, h, jumps, lys, times, cfg):
+            calls.append(("stepped", len(jumps), list(lys), list(times)))
+            return stepped(rho, h, jumps, lys, times, cfg)
 
         def closed_form_spy(rho, h, times):
             calls.append(("closed_form", list(times)))
@@ -396,11 +397,12 @@ class TestClosedFormTransit:
         monkeypatch.setattr(lindblad, "closed_form", closed_form_spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
-        assert calls == [("stepped", [2], [params.total_time])]
+        leak = [params.ly_over_g * params.g]
+        assert calls == [("stepped", 2, leak, [params.total_time])]
         assert (report.propagation, report.n_steps) == ("stepped", 400)
         lossless = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)
         assert (lossless.propagation, lossless.n_steps) == ("closed_form", 0)
-        assert calls == [("stepped", [2], [params.total_time]),
+        assert calls == [("stepped", 2, leak, [params.total_time]),
                          ("closed_form", [params.total_time])]
         circuit.run_array(probe, params, space, use_ideal_ns=True)
         assert len(calls) == 2
@@ -458,9 +460,9 @@ class TestRunBatch:
         calls = []
         stepped = lindblad.stepped
 
-        def stepped_spy(rho, h, channel_sets, times, cfg):
+        def stepped_spy(rho, h, jumps, lys, times, cfg):
             calls.append((cfg.dt_steps, len(times)))
-            return stepped(rho, h, channel_sets, times, cfg)
+            return stepped(rho, h, jumps, lys, times, cfg)
 
         monkeypatch.setattr(lindblad, "stepped", stepped_spy)
         for state in (probe, circuit.random_valid_input(space, rng, mixed=True)):
@@ -499,9 +501,9 @@ class TestRunBatch:
         calls = []
         stepped, power = lindblad.stepped, np.linalg.matrix_power
 
-        def stepped_spy(rho, h, channel_sets, times, cfg):
+        def stepped_spy(rho, h, jumps, lys, times, cfg):
             calls.append((len(times), []))
-            return stepped(rho, h, channel_sets, times, cfg)
+            return stepped(rho, h, jumps, lys, times, cfg)
 
         def power_spy(a, n):
             calls[-1][1].append(a.shape[-1])

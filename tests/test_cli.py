@@ -322,6 +322,8 @@ class TestExitCodes:
                 # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
                 (["calibrate", "--horizon-t", "10", "--delta-over-g", "1e200"], "delta"),
                 (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta"),
+                # finite, but the leak rate (ly_over_g g)^2 overflows
+                (["simulate", "--t", "99", "--ly-over-g", "1e160"], "ly_over_g"),
                 # finite, but the total time t pi / (sqrt(2) g) overflows
                 (["simulate", "--t", "1e308"], "total time"),
                 (["calibrate", "--horizon-t", "1e307"], "candidates"),

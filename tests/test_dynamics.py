@@ -194,10 +194,9 @@ class TestArrayHamiltonian:
                 h = dynamics.build_array_hamiltonian(space, p, frame=frame)
                 comm = h @ n_op - n_op @ h
                 assert np.max(np.abs(comm)) <= 1e-12 * max(1.0, p.omega_c)
-        channels = lindblad.leak_channels(space, rng.uniform(0.01, 1.0))
-        assert len(channels) == 2
-        for channel in channels:
-            jump = channel.matrix
+        jumps = rng.uniform(0.01, 1.0) * lindblad.leak_operators(space)
+        assert len(jumps) == 2
+        for jump in jumps:
             decay = jump.conj().T @ jump
             assert np.max(np.abs(n_op @ decay - decay @ n_op)) <= 1e-12
             assert np.max(np.abs(n_op @ jump - jump @ n_op + jump)) <= 1e-12

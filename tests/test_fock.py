@@ -6,7 +6,7 @@ import pytest
 from csign import circuit, fock
 from csign.dynamics import PhysParams, build_array_hamiltonian
 from csign.errors import PhysicsValidationError
-from csign.lindblad import leak_channels
+from csign.lindblad import leak_operators
 
 from conftest import random_hermitian
 from oracles import (cavity_stage_reachable_oracle, enumerate_reachable_oracle,
@@ -56,7 +56,7 @@ def _pipeline_matrices(space):
     # the splitter, the cavity stage's H and its leak jumps, as the pipeline builds them
     params = PhysParams(g=0.1, delta=0.48)
     h = build_array_hamiltonian(space, params, frame="rotating")
-    jumps = [c.matrix for c in leak_channels(space, 0.01 * params.g)]
+    jumps = list(0.01 * params.g * leak_operators(space))
     return params, circuit.beamsplitter_unitary(("x1", "y1"), space), h, jumps
 
 

@@ -80,7 +80,7 @@ class TestSpectrum:
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ probe.matrix @ bs.conj().T
-        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 1e-2, 3e-2)]
+        jumps, lys = lindblad.leak_operators(space), [1e-3, 1e-2, 3e-2]
         times = [5.0, 40.0, 99.0]
         cfg = StepperConfig(dt_steps=200)
         calls = []
@@ -95,7 +95,7 @@ class TestSpectrum:
         for _ in range(2):  # a first call, then the same H again
             closed = lindblad.closed_form(rho, h, times)
             assert len(calls) == 1
-            leaky = lindblad.stepped(rho, h, channel_sets, times, cfg)
+            leaky = lindblad.stepped(rho, h, jumps, lys, times, cfg)
             assert len(calls) == 2
             calls.clear()
             runs.append((closed, leaky))
@@ -163,7 +163,7 @@ class TestFirstOrderOracle:
     def test_leak_channels_on_full_space(self, space, rng):
         params = PhysParams(g=0.1, delta=0.037)
         h = dynamics.build_array_hamiltonian(space, params, frame="rotating")
-        jumps = [c.matrix for c in lindblad.leak_channels(space, 3.16e-2 * params.g)]
+        jumps = list(3.16e-2 * params.g * lindblad.leak_operators(space))
         total = 3.0 * math.pi / (math.sqrt(2.0) * params.g)
         self.check(random_hermitian(rng, space.dim, trace_one=True), h, jumps,
                    total, 120)
@@ -201,7 +201,7 @@ def sector_labels(sectors, dim):
 
 
 def partition_bytes(partition):
-    """The bytes of every array of a :func:`lindblad._partition` result."""
+    """The bytes of every array of a :func:`lindblad._sectors` result."""
     mask, sectors = partition
     return tuple((ix.shape, ix.tobytes()) for ix in (mask, *sum(sectors, ())))
 
@@ -245,7 +245,7 @@ class TestReferenceStepper:
             params = PhysParams(g=0.1, delta=rng.uniform(-0.6, 0.6))
             h = dynamics.build_array_hamiltonian(space, params, frame=frame)
             ly = 10.0 ** rng.uniform(-4.0, -1.0) * params.g
-            jumps = [c.matrix for c in lindblad.leak_channels(space, ly)]
+            jumps = list(ly * lindblad.leak_operators(space))
             if draw % 2:
                 rho0 = random_hermitian(rng, space.dim, trace_one=True)
             else:  # a logical input after the first beamsplitter, as in the array
@@ -257,8 +257,7 @@ class TestReferenceStepper:
     def test_block_diagonal_generator_with_crossing_jumps(self, rng):
         for _ in range(12):
             h, jumps = block_structured_case(rng)
-            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
-            assert len(lindblad._sectors(h, half_m, jumps)) > 1
+            assert len(lindblad._sectors(h, jumps)[1]) > 1
             self.check(random_hermitian(rng, len(h), trace_one=True), h, list(jumps),
                        rng.uniform(0.1, 5.0), int(rng.integers(1, 301)))
 
@@ -290,12 +289,11 @@ class TestSectors:
         for delta, ly in ((0.3, 0.01), (0.479975, 0.01), (0.0, 1e-170)):
             h = dynamics.build_array_hamiltonian(space, PhysParams(delta=delta),
                                                  frame="rotating")
-            yield h, np.stack([c.matrix for c in lindblad.leak_channels(space, ly)])
+            yield h, ly * lindblad.leak_operators(space)
 
     def test_every_entry_once_and_paired_iff_partner_is_another_sector(self, rng, space):
         for h, jumps in self.cases(rng, space):
-            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
-            sectors = lindblad._sectors(h, half_m, jumps)
+            _, sectors = lindblad._sectors(h, jumps)
             labels = sector_labels(sectors, len(h))
             assert labels.min() == 0
             sizes = [rows.shape[1] for rows, _, _ in sectors]
@@ -313,9 +311,11 @@ class TestSectors:
     def test_map_keeps_sectors_apart_and_partner_blocks_are_conjugate(self, rng, space):
         for h, jumps in self.cases(rng, space):
             dim = len(h)
-            half_m = 0.5 * sum(j.conj().T @ j for j in jumps)
-            step = first_order_step_superop(lindblad.unitary_step_matrix(h, 0.37), jumps, 0.37)
-            sectors = lindblad._sectors(h, half_m, jumps)
+            u = lindblad.unitary_step_matrix(h, 0.37)
+            step = first_order_step_superop(u, jumps, 0.37)
+            same_block, sectors = lindblad._sectors(h, jumps)
+            # U is block-diagonal on the blocks of the mask, up to eigh's round-off
+            assert np.max(np.abs(u[~same_block]), initial=0.0) <= 1e-12
             vec_of = lambda r, c: c * dim + r  # column-stacked vec(rho)
             same = sector_labels(sectors, dim).ravel(order="F")
             outside = step[same[:, None] != same[None, :]]
@@ -339,11 +339,11 @@ class TestStepped:
             h, pattern = block_structured_case(rng)
             dim = len(h)
             n_steps = int(rng.integers(1, 301))
-            scales = rng.uniform(0.2, 2.0, size=(5, len(pattern)))
-            jumps = pattern[None] * scales[:, :, None, None]
+            lys = rng.uniform(0.2, 2.0, size=5)
+            jumps = lys[:, None, None, None] * pattern
             half_m = 0.5 * np.einsum("pkji,pkjl->pil", jumps.conj(), jumps)
             dts = rng.uniform(0.001, 0.05, size=5)
-            same_block, sectors = lindblad._partition(h, half_m, jumps)
+            same_block, sectors = lindblad._sectors(h, pattern)
             u = np.where(same_block, lindblad.unitary_step_matrix(h, dts), 0)
             rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             if draw % 2:  # an input that touches only some sectors
@@ -355,22 +355,21 @@ class TestStepped:
 
     def test_stack_matches_evolve_bit_for_bit(self, space, rng):
         # eleven points in one call, and one leak so small that its square
-        # underflows: its half_m has its own zero pattern, but the partition
-        # of the stack's union pattern is the same as its own
+        # underflows: its L^dag L is 0, but the partition of the unit stack
+        # is the same as its own
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ circuit.random_valid_input(space, rng, mixed=True).matrix @ bs.conj().T
         leaks = [1e-170] + list(10.0 ** rng.uniform(-5.0, -2.0, 10))
-        channel_sets = [lindblad.leak_channels(space, ly) for ly in leaks]
+        jumps = lindblad.leak_operators(space)
         times = rng.uniform(1.0, 700.0, size=len(leaks))
         cfg = StepperConfig(dt_steps=300)
-        jumps, half_m = (np.stack(a) for a in zip(*map(lindblad._pack_channels, channel_sets)))
-        partitions = [lindblad._partition(h, half_m, jumps)]
-        partitions += [lindblad._partition(h, m, j) for j, m in zip(jumps, half_m)]
+        partitions = [lindblad._sectors(h, ly * jumps) for ly in [1.0] + leaks]
         assert len({partition_bytes(partition) for partition in partitions}) == 1
-        mats = lindblad.stepped(rho, h, channel_sets, times, cfg)
+        mats = lindblad.stepped(rho, h, jumps, leaks, times, cfg)
         drift = lindblad._check_state(mats, cfg.dt_steps)
-        for k, (channels, total) in enumerate(zip(channel_sets, times)):
+        for k, (ly, total) in enumerate(zip(leaks, times)):
+            channels = [LindbladChannel(j) for j in ly * jumps]
             alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
             assert np.array_equal(mats[k], alone.rho.matrix)
             assert drift[k] == alone.trace_drift
@@ -380,8 +379,8 @@ class TestStepped:
         h = dynamics.build_array_hamiltonian(space, PhysParams(), frame="rotating")
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         rho = bs @ probe.matrix @ bs.conj().T
-        channels = lindblad.leak_channels(space, 1e-3)
-        _, sectors = lindblad._partition(h, *lindblad._pack_channels(channels)[::-1])
+        jumps = lindblad.leak_operators(space)
+        _, sectors = lindblad._sectors(h, jumps)
         touched = {rows.shape[1] for rows, cols, _ in sectors
                    if (rho[rows, cols].any(axis=1) | rho[cols, rows].any(axis=1)).any()}
         assert len(touched) == 6
@@ -394,7 +393,7 @@ class TestStepped:
 
         monkeypatch.setattr(np.linalg, "matrix_power", power_spy)
         n = 11
-        lindblad.stepped(rho, h, [channels] * n, np.linspace(10.0, 300.0, n),
+        lindblad.stepped(rho, h, jumps, [1e-3] * n, np.linspace(10.0, 300.0, n),
                          StepperConfig(dt_steps=200))
         assert sorted(calls) == sorted(touched)
 
@@ -414,24 +413,62 @@ class TestTransit:
         rho = bs @ unit @ bs.conj().T
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.21), frame="rotating")
         cfg = StepperConfig(dt_steps=200)
-        channel_sets = [lindblad.leak_channels(space, ly) for ly in (1e-3, 0.0, 0.02, 0.0, 0.01)]
+        jumps, lys = lindblad.leak_operators(space), [1e-3, 0.0, 0.02, 0.0, 0.01]
         times = [30.0, 30.0, 12.0, 0.0, 0.0]
-        mats, steps = lindblad.transit(rho, h, channel_sets, times, cfg)
+        mats, steps = lindblad.transit(rho, h, jumps, lys, times, cfg)
         assert steps == [cfg.dt_steps, 0, cfg.dt_steps, 0, 0]
-        for k, (channels, total) in enumerate(zip(channel_sets, times)):
+        for k, (ly, total) in enumerate(zip(lys, times)):
             n = cfg.dt_steps if total else 0
             dt = total / cfg.dt_steps
             expected = trotter_steps(rho, lindblad.unitary_step_matrix(h, dt),
-                                     [c.matrix for c in channels], dt, n)
+                                     ly * jumps, dt, n)
             assert np.max(np.abs(mats[k] - expected)) <= 1e-12, k
         assert np.array_equal(mats[3], rho) and np.array_equal(mats[4], rho)
         assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > 0.1
 
     def test_rejects_negative_time(self):
         rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        channels = [[LindbladChannel(0.01 * lowering(3))]] * 2
-        with pytest.raises(PhysicsValidationError):
-            lindblad.transit(rho0, np.zeros((3, 3)), channels, [1.0, -1.0])
+        with pytest.raises(PhysicsValidationError, match="total_time"):
+            lindblad.transit(rho0, np.zeros((3, 3)), lowering(3)[None], [0.01, 0.01],
+                             [1.0, -1.0])
+
+    @pytest.mark.parametrize("ly", [-1e-3, math.nan])
+    def test_rejects_negative_leak(self, ly):
+        rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        with pytest.raises(PhysicsValidationError, match="leak coefficient must be >= 0"):
+            lindblad.transit(rho0, np.zeros((3, 3)), lowering(3)[None], [0.01, ly],
+                             [1.0, 1.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # step phase
+    def test_mixed_stack_matches_each_point_alone(self, space):
+        # points at T = 0, lossless and leaky (one leak so small that its
+        # square underflows), shuffled, on an input that is not Hermitian:
+        # each against ``evolve`` of that point alone, bit for bit, and
+        # against the explicit step loop
+        rng = np.random.default_rng(2216)
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=rng.uniform(-0.5, 0.5)),
+                                             frame="rotating")
+        bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
+        rho = bs @ circuit.random_valid_input(space, rng, mixed=True).matrix @ bs.conj().T
+        noise = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+        rho += 1e-3 * (noise - np.trace(noise) / space.dim * np.eye(space.dim))
+        lys = np.concatenate([[0.0, 0.0, 1e-170, 3e-3], 10.0 ** rng.uniform(-6.0, -2.5, 4)])
+        times = np.concatenate([[0.0, 40.0, 90.0, 0.0], rng.uniform(1.0, 700.0, 4)])
+        order = rng.permutation(len(lys))
+        lys, times = lys[order], times[order]
+        cfg = StepperConfig(dt_steps=int(rng.integers(50, 400)))
+        jumps = lindblad.leak_operators(space)
+        mats, steps = lindblad.transit(rho, h, jumps, lys, times, cfg)
+        assert np.max(np.abs(rho - rho.conj().T)) > 1e-4
+        for k, (ly, total) in enumerate(zip(lys, times)):
+            channels = [LindbladChannel(j) for j in ly * jumps] if ly else []
+            alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
+            assert np.array_equal(mats[k], alone.rho.matrix), k
+            assert steps[k] == alone.n_steps == (cfg.dt_steps if ly and total else 0)
+            dt = total / cfg.dt_steps
+            expected = trotter_steps(rho, lindblad.unitary_step_matrix(h, dt), ly * jumps, dt,
+                                     cfg.dt_steps if total else 0)
+            assert np.max(np.abs(mats[k] - expected)) <= 1e-12, k
 
 
 class TestEvolve:
@@ -554,8 +591,12 @@ class TestEvolve:
         rho0 = random_hermitian(rng, dim, trace_one=True)
         h = 50.0 * np.diag([0.0, 1.0, 2.0])
         leak = [LindbladChannel(0.01 * lowering(dim), "leak")]
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as caught:
             lindblad.evolve(dm(space, rho0), h, leak, 1.0, StepperConfig(dt_steps=10))
+        # every run is in the rotating frame, so the advice is dt_steps alone
+        assert [str(w.message) for w in caught] == [
+            "step phase dt*||H|| = 10 rad exceeds 0.1; "
+            "consider more dt_steps (--dt-steps, stepper.dt_steps)"]
 
     @pytest.mark.parametrize("phase, warns", [(0.0999, False), (0.1001, True)])
     def test_step_warning_threshold(self, rng, phase, warns):
@@ -608,9 +649,9 @@ class TestExactMasterEquation:
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         stage_in = dm(space, bs @ probe.matrix @ bs.conj().T)
         h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
-        channels = lindblad.leak_channels(space, params.ly_over_g * params.g)
-        exact = exact_master_equation(stage_in.matrix, h, [c.matrix for c in channels],
-                                      params.total_time)
+        jumps = params.ly_over_g * params.g * lindblad.leak_operators(space)
+        channels = [LindbladChannel(j) for j in jumps]
+        exact = exact_master_equation(stage_in.matrix, h, list(jumps), params.total_time)
         gaps = []
         for n_steps in (500, 1000, 2000, 20000):
             stepped = lindblad.evolve(stage_in, h, channels, params.total_time,
@@ -622,22 +663,29 @@ class TestExactMasterEquation:
 
 
 class TestChannels:
-    def test_leak_channels_disabled_at_zero(self, space):
-        assert lindblad.leak_channels(space, 0.0) == []
+    def test_leak_channels_disabled_at_zero(self, space, probe):
+        # a zero leak coefficient makes a point lossless: the closed form, no step
+        h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.3), frame="rotating")
+        mats, steps = lindblad.transit(probe.matrix, h, lindblad.leak_operators(space),
+                                       [0.0], [30.0])
+        assert steps == [0]
+        assert np.array_equal(mats, lindblad.closed_form(probe.matrix, h, [30.0]))
 
     def test_leak_channels_target_cavity_rails(self, space):
-        channels = lindblad.leak_channels(space, 0.07)
-        assert [c.label for c in channels] == ["leak-cavity-A", "leak-cavity-B"]
-        assert np.allclose(channels[0].matrix,
-                           0.07 * fock.annihilation_matrix("x1", space))
-        assert np.allclose(channels[1].matrix,
-                           0.07 * fock.annihilation_matrix("y1", space))
+        jumps = lindblad.leak_operators(space)
+        assert np.array_equal(jumps, np.stack([fock.annihilation_matrix("x1", space),
+                                               fock.annihilation_matrix("y1", space)]))
 
-    def test_packed_half_m_matches_einsum_bit_for_bit(self, space):
+    def test_packed_half_m_matches_einsum_bit_for_bit(self, space, monkeypatch):
         # each entry of half_m sums at most two nonzero products, so the
         # order of summation cannot change it
-        for ly_over_g in (1e-4, 3e-3, 0.02, 0.37, 1.0):
-            channels = lindblad.leak_channels(space, ly_over_g * 0.1)
-            jumps, half_m = lindblad._pack_channels(channels)
-            assert np.array_equal(half_m,
-                                  0.5 * np.einsum("kji,kjl->il", jumps.conj(), jumps))
+        seen = []
+        monkeypatch.setattr(lindblad, "_power_by_sector",
+                            lambda rho, u, jumps, half_m, *rest: seen.append((jumps, half_m)))
+        unit = lindblad.leak_operators(space)
+        lys = np.array([1e-4, 3e-3, 0.02, 0.37, 1.0]) * 0.1
+        lindblad.stepped(np.eye(space.dim), np.zeros((space.dim,) * 2), unit, lys,
+                         [1.0] * len(lys), StepperConfig(dt_steps=10))
+        (jumps, half_m), = seen
+        assert np.array_equal(jumps, [ly * unit for ly in lys])
+        assert np.array_equal(half_m, 0.5 * np.einsum("pkji,pkjl->pil", jumps.conj(), jumps))
