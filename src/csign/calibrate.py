@@ -14,7 +14,6 @@ calibration runs without numpy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import PhysicsValidationError
@@ -35,6 +34,8 @@ def commensurable_detunings(r) -> float:
     share a common period.  d^2 is evaluated exactly in rational arithmetic,
     for float inputs too.
     """
+    from fractions import Fraction  # only the ratio table needs it
+
     if not math.isfinite(r):
         raise PhysicsValidationError(f"ratio must be finite, got {r}")
     r = Fraction(r)
@@ -77,6 +78,8 @@ def candidate_table(params: PhysParams, horizon_t: float) -> list[dict]:
 
 def detuning_table(ratios: Sequence) -> list[dict]:
     """Rows (r, d, roundtrip_residual) for a list of rational ratios."""
+    from fractions import Fraction
+
     rows = []
     for r in ratios:
         d = commensurable_detunings(r)

@@ -10,16 +10,22 @@ defaults are those of :class:`~csign.circuit.SimParams` and
 Each command imports only what it runs: yaml only with ``--config``, numpy
 (through circuit, fock and lindblad) only in ``simulate`` and ``sweep``, and
 the sweep engine, with OpenSSL for its manifest hash, only in ``sweep``;
-``calibrate`` runs on the standard library.
+``calibrate`` runs on the standard library, with ``fractions`` only for
+``--ratios``, and ``tempfile`` loads only to write an ``--out`` file.
+
+:func:`process_main` is the entry of a ``csign`` process, the console script
+and ``python -m csign.cli`` alike; :func:`main` runs one command in-process
+and leaves the garbage collector and the warning display as they are.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import warnings
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__, calibrate
@@ -111,6 +117,20 @@ def _sim_params(args, config) -> circuit.SimParams:
                      stepper=StepperConfig(**_settings(args, config, "stepper")))
 
 
+def _start_collector():
+    """Turn the garbage collector on, with every object alive now frozen.
+
+    :func:`process_main` runs the imports with the collector off.  What they
+    built, numpy's and csign's modules among it, lives until exit, so no
+    collection needs to walk it: neither those during the run nor the one at
+    interpreter exit.  A sweep worker forked later shares the frozen heap.
+    An in-process caller keeps its collector on, so this does nothing then.
+    """
+    if not gc.isenabled():
+        gc.freeze()
+        gc.enable()
+
+
 def cmd_simulate(args) -> int:
     from . import circuit, fock
 
@@ -119,6 +139,7 @@ def cmd_simulate(args) -> int:
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")
     state = circuit.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
+    _start_collector()
     report = circuit.run_array(state, params, space)
     _write_output(args.out, report.to_json(indent=2) + "\n")
     return 0
@@ -194,6 +215,7 @@ def cmd_sweep(args) -> int:
     with _writing(out_dir):  # before any point runs
         os.makedirs(out_dir, exist_ok=True)
 
+    _start_collector()
     records = sweep.run_sweep(spec, workers=workers)
     csv_path = os.path.join(out_dir, "sweep.csv")
     outputs = [csv_path]
@@ -229,15 +251,19 @@ def cmd_calibrate(args) -> int:
 
     lines = []
     if ratios:
+        from fractions import Fraction  # only the ratio table needs it
+
         try:
             fracs = [Fraction(str(r)) for r in ratios]
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad ratio list {ratios!r}: {exc}") from exc
         lines.append("r,d,roundtrip_residual")
+        _start_collector()
         for row in calibrate.detuning_table(fracs):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
         lines.append("t,delta_over_g,residual")
+        _start_collector()
         for row in calibrate.candidate_table(params, section.get("horizon_t", 0.0)):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
@@ -284,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, "output directory (default output.dir, else sweep_out)")
     run_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int,
-                         help="parallel worker processes (default: the usable CPUs)")
+                         help="parallel worker processes (default: the usable CPUs); "
+                              "never more than the chunks of grid points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="emit calibration candidate tables")
@@ -298,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command in this process; the exit code, or SystemExit from
+    argument parsing."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -313,5 +342,19 @@ def main(argv=None) -> int:
         return 4
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # the message alone: a source line inside the package names no flag
+    return f"csign: warning: {message}\n"
+
+
+def process_main() -> int:
+    """The entry of a ``csign`` process: :func:`main` on ``sys.argv`` with the
+    collector off until the command has imported what it runs (see
+    :func:`_start_collector`) and each warning shown as one line."""
+    gc.disable()
+    warnings.formatwarning = _format_warning
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -9,7 +9,6 @@ file, from ``calibrate --out`` to a sweep's CSVs, goes through
 from __future__ import annotations
 
 import os
-import tempfile
 
 #: names of the input states a run can start from (see ``circuit.input_state``)
 INPUT_SELECTORS = ("p_test", "random")
@@ -19,6 +18,8 @@ def atomic_write(path: str, text: str):
     """``text`` to the file ``path``, creating its directory; a reader sees the
     old file or the whole new one, never a partial write.  The file gets the
     mode a plain ``open`` gives a new file, not ``mkstemp``'s 0600."""
+    import tempfile  # with shutil and random: only a run that writes a file pays
+
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     umask = os.umask(0)  # os.umask only reads the mask by setting it

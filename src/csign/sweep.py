@@ -196,12 +196,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     slice's wall time (and of the batch's shared input stage), not a time
     measured for that point alone.
 
-    Workers > 1 fan chunks of grid points over processes and collect them
-    in grid order, so the output is independent of the worker count.  A
-    worker that dies breaks the pool and every chunk not finished by then;
-    each such chunk reruns alone in a fresh one-worker pool, so only the
-    chunk that crashed is lost.  A chunk that still raises comes back as
-    failed records naming the exception.
+    Workers > 1 fan chunks of grid points over processes, at most one
+    process per chunk, and collect them in grid order, so the output is
+    independent of the worker count.  A worker that dies breaks the pool
+    and every chunk not finished by then; each such chunk reruns alone in a
+    fresh one-worker pool, so only the chunk that crashed is lost.  A chunk
+    that still raises comes back as failed records naming the exception.
     """
     points = spec.grid()
     if not points:
@@ -210,7 +210,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         return _evaluate_chunk(spec, points)
     size = max(1, len(points) // (8 * workers))
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks every worker up front, and one past the chunks gets none
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks))) as pool:
         futures = [pool.submit(_evaluate_chunk, spec, chunk) for chunk in chunks]
         return [record for chunk, future in zip(chunks, futures)
                 for record in _chunk_records(spec, chunk, future)]

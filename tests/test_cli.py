@@ -1,3 +1,4 @@
+import gc
 import glob
 import json
 import math
@@ -587,20 +588,30 @@ class TestCalibrateCommand:
 #: OpenSSL (``_hashlib``, under ``hashlib``) and the sweep engine
 WATCHED = ("numpy", "yaml", "_hashlib", "csign.sweep")
 
+#: the standard-library modules only some paths need: ``tempfile`` (with
+#: ``shutil`` and ``random``) to write a file, ``fractions`` for ratios
+LAZY_STDLIB = ("tempfile", "fractions")
 
-def modules_after_script(code: str, *argv) -> list[str]:
-    """Which of ``WATCHED`` a fresh interpreter holds after running ``code``."""
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def modules_after_script(code: str, *argv, watched=WATCHED) -> list[str]:
+    """Which of ``watched`` a fresh interpreter holds after running ``code``.
+
+    The interpreter runs with ``-S`` on this one's ``sys.path``: a ``.pth``
+    file in a site directory may run start-up code whose imports (``tempfile``,
+    through ``importlib.resources``) are not csign's.
+    """
     code += ("import json, sys\n"
-             f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+             f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, *filter(None, sys.path)]))
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def modules_after(*argv) -> list[str]:
-    """Which of ``WATCHED`` a fresh interpreter holds after ``import csign``
+def modules_after(*argv, watched=WATCHED) -> list[str]:
+    """Which of ``watched`` a fresh interpreter holds after ``import csign``
     and, if ``argv`` is given, ``cli.main(argv)``."""
     return modules_after_script(
         "import contextlib, io, sys\n"
@@ -608,13 +619,14 @@ def modules_after(*argv) -> list[str]:
         "if sys.argv[1:]:\n"
         "    from csign import cli\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(sys.argv[1:]) == 0\n", *argv)
+        "        assert cli.main(sys.argv[1:]) == 0\n", *argv, watched=watched)
 
 
 class TestStartupImports:
     """Each command imports only what it runs: numpy only for simulate and
     sweep, yaml only with --config, OpenSSL only to hash a sweep manifest,
-    and the sweep engine only for a sweep."""
+    the sweep engine only for a sweep, tempfile only to write a file and
+    fractions only for ratios."""
 
     def test_package_import_is_bare(self):
         assert modules_after() == []
@@ -650,3 +662,69 @@ class TestStartupImports:
                 "                       base=circuit.SimParams(t=1.0))\n"
                 "assert [r.status for r in sweep.run_sweep(spec, workers=1)] == ['ok'] * 2\n")
         assert modules_after_script(code) == ["numpy", "csign.sweep"]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["calibrate", "--horizon-t", "100.5"], []),
+        (["simulate", "--t", "1"], []),
+        (["calibrate", "--ratios", "5/7", "14/15"], ["fractions"]),
+        (["calibrate", "--horizon-t", "10", "--out", "{out}"], ["tempfile"]),
+    ], ids=["horizon", "simulate", "ratios", "out"])
+    def test_stdlib_loads_where_it_runs(self, tmp_path, argv, loaded):
+        argv = [arg.format(out=tmp_path / "table.csv") for arg in argv]
+        assert modules_after(*argv, watched=LAZY_STDLIB) == loaded
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m csign.cli argv`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "csign.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+class TestProcessEntry:
+    """``process_main`` runs the start-up with the collector off and freezes
+    its heap; ``main`` in-process leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--horizon-t", "10"], ["calibrate", "--ratios", "14/15"],
+        ["simulate", "--t", "1"], ["sweep", "--workers", "1"],
+    ], ids=" ".join)
+    def test_main_leaves_collector_alone(self, capsys, tmp_path, argv):
+        if argv[0] == "sweep":
+            cfg = tmp_path / "sweep.yaml"
+            cfg.write_text("sweep:\n  axes:\n    - name: t\n      values: [1.0]\n")
+            argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--horizon-t", "10"], ["simulate", "--t", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_process_freezes_start_up_heap(self, argv):
+        code = ("import contextlib, gc, io, sys\n"
+                "from csign import cli\n"
+                "sys.argv[1:] = %r\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.process_main() == 0\n"
+                "print(gc.isenabled(), gc.get_freeze_count() > 0)\n" % argv)
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["True", "True"]
+
+    def test_process_prints_the_in_process_report(self, capsys):
+        def lines(out):
+            return [line for line in out.splitlines() if '"wall_ms"' not in line]
+
+        done = run_process("simulate", "--t", "99")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert lines(done.stdout) == lines(run_cli(capsys, "simulate", "--t", "99")[1])
+
+    def test_warning_is_one_line(self):
+        done = run_process("simulate", "--t", "3", "--dt-steps", "7",
+                           "--ly-over-g", "0.3")
+        assert done.returncode == 0
+        [line] = done.stderr.splitlines()
+        assert line.startswith("csign: warning: step phase")
+        assert ".py:" not in line

@@ -194,6 +194,35 @@ class TestRunSweep:
             assert all(r.csv_row() == s.csv_row()
                        for r, s in zip(records, serial) if r.t != crash_t)
 
+    @pytest.mark.parametrize("workers,pool_size", [(64, 13), (2, 2)])
+    def test_pool_capped_at_chunk_count(self, monkeypatch, workers, pool_size):
+        # a fork pool starts every worker up front: none may be left without
+        # a chunk; the inline pool starts no process, whatever it is asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        spec = SweepSpec(axes=(Axis("t", tuple(float(t) for t in range(1, 14))),),
+                         base=FAST_BASE)
+        serial = sweep.run_sweep(spec, workers=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        records = sweep.run_sweep(spec, workers=workers)
+        assert sizes == [pool_size]
+        assert [r.csv_row() for r in records] == [r.csv_row() for r in serial]
+
     def test_errors_in_unit_interval(self):
         spec = SweepSpec(axes=(Axis("t", (0.5, 1.5, 2.5)),
                                Axis("delta_over_g", (0.0, 2.0))), base=FAST_BASE)
