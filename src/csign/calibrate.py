@@ -31,19 +31,23 @@ def commensurable_detunings(r) -> float:
     Solves sqrt(4 + d^2) / sqrt(8 + d^2) = r exactly:
     d = sqrt((8 r^2 - 4) / (1 - r^2)), valid for 1/sqrt(2) < r < 1.
     Rational r then makes the one- and two-photon recurrence progressions
-    share a common period.  d^2 is evaluated exactly in rational arithmetic,
-    for float inputs too.
+    share a common period.  The range check and d^2 are exact rational
+    arithmetic, for float inputs too, so a ratio beyond the float range is
+    rejected, as is one so near 1 that d overflows a float.
     """
     from fractions import Fraction  # only the ratio table needs it
 
-    if not math.isfinite(r):
+    if isinstance(r, float) and not math.isfinite(r):
         raise PhysicsValidationError(f"ratio must be finite, got {r}")
-    r = Fraction(r)
-    if not (1.0 / math.sqrt(2.0) < r < 1):
+    q = Fraction(r)
+    if not (0 < q < 1 and 2 * q * q > 1):
+        raise PhysicsValidationError(f"ratio must lie in (1/sqrt(2), 1), got {r}")
+    d_sq = (8 * q * q - 4) / (1 - q * q)
+    try:
+        return math.sqrt(float(d_sq))
+    except OverflowError:
         raise PhysicsValidationError(
-            f"ratio must lie in (1/sqrt(2), 1), got {float(r)}")
-    d_sq = (8 * r * r - 4) / (1 - r * r)
-    return math.sqrt(float(d_sq))
+            "ratio lies too close to 1: its detuning overflows a float") from None
 
 
 def candidate_table(params: PhysParams, horizon_t: float) -> list[dict]:

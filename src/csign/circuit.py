@@ -137,8 +137,6 @@ def beamsplitter_amplitude(n: int, m: int, j: int) -> float:
     sign_sum = 0
     for p in range(max(0, j - m), min(n, j) + 1):
         sign_sum += (-1) ** (m - j + p) * math.comb(n, p) * math.comb(m, j - p)
-    if sign_sum == 0:
-        return 0.0
     norm = math.sqrt(math.factorial(j) * math.factorial(k) /
                      (math.factorial(n) * math.factorial(m)))
     return sign_sum * norm / math.sqrt(2.0) ** (n + m)
@@ -159,8 +157,6 @@ def beamsplitter_unitary(pair: tuple[str, str], space: fock.StateSpace) -> np.nd
         n, m = s.rail_occupation(r1), s.rail_occupation(r2)
         for j in range(n + m + 1):
             amp = beamsplitter_amplitude(n, m, j)
-            if amp == 0.0:
-                continue
             target = s.replace_rails(**{r1: j, r2: n + m - j})
             if target not in space:
                 raise PhysicsValidationError(
@@ -356,10 +352,8 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
                                   [p.total_time for p in params_seq], params_seq[0].stepper)
             paths = ["stepped" if ly else "closed_form" for ly in lys]
         drift = _check_state(mats, max(steps))
-        shifted = [k for k, params in enumerate(params_seq) if params.phs and not use_ideal_ns]
-        if shifted:
-            shift = phase_shifter(phi[shifted], space)
-            mats[shifted] = shift[:, :, None] * mats[shifted] * shift.conj()[:, None, :]
+        shift = phase_shifter(phi, space)  # the identity at angle 0: phs 0, or the ideal sign
+        mats = shift[:, :, None] * mats * shift.conj()[:, None, :]
         bs = beamsplitter_unitary(("x1", "y1"), space)
         mats = bs @ mats @ bs.conj().T
         errors = error_rate(ideal_full, mats)

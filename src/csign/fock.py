@@ -215,14 +215,12 @@ def atom_raising_matrix(atom: str, space: StateSpace) -> np.ndarray:
     return frozen(atom_lowering_matrix(atom, space).conj().T)
 
 
-@lru_cache(maxsize=None)
 def total_excitation_matrix(space: StateSpace) -> np.ndarray:
     """Diagonal total-excitation operator (photons plus excited atoms)."""
     diag = [s.total_excitation for s in space.states]
     return frozen(np.diag(np.asarray(diag, dtype=complex)))
 
 
-@lru_cache(maxsize=None)
 def computational_indices(space: StateSpace) -> tuple[int, int, int, int]:
     """Indices of the logical basis in the order of ``SEEDS``: |00>, |01>, |10>, |11>."""
     return tuple(space.index_of(seed) for seed in SEEDS)

@@ -75,6 +75,12 @@ def leak_operators(space: fock.StateSpace) -> np.ndarray:
     return np.stack([fock.annihilation_matrix(rail, space) for rail in ("x1", "y1")])
 
 
+#: most trotter steps per run: the power's round-off grows about tenfold per
+#: decade of steps, so past about 10**7 more steps lose accuracy, and at
+#: 10**12 a run can pass the trace check with a wrong error
+MAX_DT_STEPS = 10**8
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Step count and diagnostic policy of the trotterized evolution.
@@ -89,6 +95,10 @@ class StepperConfig:
     def __post_init__(self):
         if self.dt_steps < 1:
             raise PhysicsValidationError(f"dt_steps must be >= 1, got {self.dt_steps}")
+        if self.dt_steps > MAX_DT_STEPS:
+            raise PhysicsValidationError(
+                f"dt_steps must be <= {MAX_DT_STEPS}, past which round-off outgrows the "
+                f"step error, got {self.dt_steps}")
 
 
 @dataclass

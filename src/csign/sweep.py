@@ -157,17 +157,13 @@ def _apply_point(base: circuit.SimParams, point: dict) -> circuit.SimParams:
     return replace(base, **values)
 
 
-def _failed_record(params: circuit.SimParams, exc: BaseException) -> SweepRecord:
-    return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
-                       ly_over_g=params.ly_over_g, phs=params.phs,
-                       error=float("nan"), trace_drift=float("nan"),
-                       atom_residual=float("nan"), wall_ms=0.0,
-                       status="failed", message=f"{type(exc).__name__}: {exc}")
-
-
 def _record(params: circuit.SimParams, outcome) -> SweepRecord:
     if isinstance(outcome, Exception):
-        return _failed_record(params, outcome)
+        return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
+                           ly_over_g=params.ly_over_g, phs=params.phs,
+                           error=float("nan"), trace_drift=float("nan"),
+                           atom_residual=float("nan"), wall_ms=0.0, status="failed",
+                           message=f"{type(outcome).__name__}: {outcome}")
     return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
                        ly_over_g=params.ly_over_g, phs=params.phs,
                        error=outcome.error, trace_drift=outcome.trace_drift,
@@ -226,7 +222,7 @@ def _chunk_records(spec: SweepSpec, chunk: list[dict], future) -> list[SweepReco
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
                 return solo.submit(_evaluate_chunk, spec, chunk).result()
     except Exception as exc:
-        return [_failed_record(_apply_point(spec.base, p), exc) for p in chunk]
+        return [_record(_apply_point(spec.base, p), exc) for p in chunk]
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,11 @@ class TestCommensurableDetunings:
         d = calibrate.commensurable_detunings(Fraction(14, 15))
         assert d == pytest.approx(4.80, abs=0.005)
 
-    @pytest.mark.parametrize("r", [0.5, 1.0, 1.2, 1 / math.sqrt(2)])
+    @pytest.mark.parametrize("r", [
+        0.5, 1.0, 1.2, 1 / math.sqrt(2), -0.8, pytest.param(Fraction(-4, 5), id="-4/5"),
+        # the range check is exact, and a detuning past the float range is rejected
+        pytest.param(Fraction("1e400"), id="huge"),
+        pytest.param(Fraction("0." + "9" * 400), id="near-1")])
     def test_domain_errors(self, r):
         with pytest.raises(PhysicsValidationError):
             calibrate.commensurable_detunings(r)

@@ -380,6 +380,20 @@ class TestExitCodes:
         assert "more than 100000" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("leak", [[], ["--ly-over-g", "0.1"]], ids=["lossless", "leaky"])
+    def test_too_many_steps_exits_3(self, capsys, leak):
+        code, out, err = run_cli(capsys, "simulate", "--t", "3",
+                                 "--dt-steps", "100000000000000000000", *leak)
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert "dt_steps must be <= 100000000" in line
+
+    def test_step_bound_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--t", "3", "--ly-over-g", "0.1",
+                               "--dt-steps", "100000000")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["n_steps"] == 10**8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--t", "150",
@@ -527,6 +541,14 @@ class TestCalibrateCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "r,d,roundtrip_residual"
         assert all(float(line.split(",")[2]) < 1e-12 for line in lines[1:])
+
+    @pytest.mark.parametrize("ratio", ["1e400", "0." + "9" * 400, "-0.8"],
+                             ids=["huge", "near-1", "negative"])
+    def test_out_of_range_ratio_exits_3(self, ratio):
+        done = run_process("calibrate", "--ratios", ratio)
+        assert (done.returncode, done.stdout) == (3, "")
+        [line] = done.stderr.splitlines()  # one line, no traceback
+        assert line.startswith("physics validation error: ratio")
 
     def test_empty_horizon_empty_table(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate", "--horizon-t", "0")

@@ -278,6 +278,13 @@ class TestReferenceStepper:
         assert np.all(out[second, :] == 0) and np.all(out[:, second] == 0)
 
 
+class TestStepperConfig:
+    def test_step_bound(self):
+        assert StepperConfig(dt_steps=10**8).dt_steps == lindblad.MAX_DT_STEPS
+        with pytest.raises(PhysicsValidationError, match="<= 100000000"):
+            StepperConfig(dt_steps=10**8 + 1)
+
+
 class TestSectors:
     """The sector layout against the one-step map written out in full
     (``oracles.first_order_step_superop``)."""
