@@ -253,13 +253,15 @@ def cmd_calibrate(args) -> int:
     if ratios:
         from fractions import Fraction  # only the ratio table needs it
 
+        texts = [str(r) for r in ratios]  # calibrate names a bad ratio as it was typed
         try:
-            fracs = [Fraction(str(r)) for r in ratios]
+            for text in texts:
+                Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad ratio list {ratios!r}: {exc}") from exc
         lines.append("r,d,roundtrip_residual")
         _start_collector()
-        for row in calibrate.detuning_table(fracs):
+        for row in calibrate.detuning_table(texts):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
         lines.append("t,delta_over_g,residual")

@@ -84,7 +84,7 @@ def compensating_phase(params: PhysParams, t: float) -> float:
     transit of duration t back in phase (the two-photon one turns by 2*phi);
     0 when |u1| < 1e-12, where the phase is undefined."""
     u1 = jc_return_amplitude(1, params, t)
-    return 0.0 if abs(u1) < 1e-12 else -cmath.phase(u1)
+    return 0.0 if abs(u1) < 1e-12 else 0.0 - cmath.phase(u1)  # +0.0, not -0.0, at phase 0
 
 
 def lossless_gate_error(params: PhysParams, t: float) -> float:

@@ -2,8 +2,9 @@
 
 A sweep is a cartesian grid over at most two of (t, delta_over_g, ly_over_g,
 phs) on top of fixed base parameters.  Each grid point runs the full array
-once, as part of a ``circuit.run_batch``, and yields one record; point
-failures are recorded, never fatal.
+once, as part of a ``circuit.run_batch``, and yields one record.  A point
+whose parameters fail validation stops the sweep before any point runs; a
+point that fails while it runs becomes a failed record (``nan`` in the CSV).
 Results serialize to CSV plus a JSON manifest, both byte-deterministic for
 identical specs (wall-clock timing is kept out of the files for that reason
 and lives on the in-memory records).
@@ -102,14 +103,16 @@ class SweepSpec:
         if self.seed < 0:
             raise PhysicsValidationError(f"seed must be >= 0, got {self.seed}")
 
-    def grid(self) -> list[dict]:
-        """Grid points in row-major axis order; empty axes give no points."""
+    def grid(self) -> list[circuit.SimParams]:
+        """Validated parameters of each point, the base with its axis values
+        (``phs`` as an int), in row-major axis order; empty axes give none."""
         if not self.axes:
             return []
         points = [{}]
         for axis in self.axes:
-            points = [dict(p, **{axis.name: v}) for p in points for v in axis.values]
-        return points
+            values = [int(v) for v in axis.values] if axis.name == "phs" else axis.values
+            points = [dict(p, **{axis.name: v}) for p in points for v in values]
+        return [replace(self.base, **p) for p in points]
 
     def as_dict(self) -> dict:
         return {
@@ -150,13 +153,6 @@ class SweepRecord:
                          repr(float(self.trace_drift))])
 
 
-def _apply_point(base: circuit.SimParams, point: dict) -> circuit.SimParams:
-    values = {k: v for k, v in point.items()}
-    if "phs" in values:
-        values["phs"] = int(values["phs"])
-    return replace(base, **values)
-
-
 def _record(params: circuit.SimParams, outcome) -> SweepRecord:
     if isinstance(outcome, Exception):
         return SweepRecord(t=params.t, delta_over_g=params.delta_over_g,
@@ -170,21 +166,17 @@ def _record(params: circuit.SimParams, outcome) -> SweepRecord:
                        atom_residual=outcome.atom_residual, wall_ms=outcome.wall_ms)
 
 
-def _evaluate_chunk(spec: SweepSpec, points: list[dict]) -> list[SweepRecord]:
-    """Run grid points as one ``circuit.run_batch``; a point that fails comes
-    back as a failed record, so the sweep does not abort."""
-    params = [_apply_point(spec.base, p) for p in points]
-    try:
-        space = fock.default_state_space()
-        outcomes = circuit.run_batch(
-            circuit.input_state(spec.input_state, spec.seed, space), params, space)
-    except Exception as exc:
-        outcomes = [exc] * len(params)
-    return [_record(p, outcome) for p, outcome in zip(params, outcomes)]
+def _run_chunk(state: fock.DensityMatrix, chunk: list[circuit.SimParams]) -> list:
+    """One chunk's outcomes; module-level, so a process pool can pickle it."""
+    return circuit.run_batch(state, chunk, fock.default_state_space())
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, in deterministic grid order.
+
+    The calling process builds the points (an invalid one raises
+    ``PhysicsValidationError`` before any point runs), the input state and
+    every record; a point that fails while it runs gives a failed record.
 
     Each chunk of grid points runs as one ``circuit.run_batch``, and a
     serial sweep is one chunk, so its points run in stacked slices per
@@ -202,27 +194,30 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     points = spec.grid()
     if not points:
         return []
+    state = circuit.input_state(spec.input_state, spec.seed, fock.default_state_space())
     if workers <= 1:
-        return _evaluate_chunk(spec, points)
-    size = max(1, len(points) // (8 * workers))
-    chunks = [points[i:i + size] for i in range(0, len(points), size)]
-    # the pool forks every worker up front, and one past the chunks gets none
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks))) as pool:
-        futures = [pool.submit(_evaluate_chunk, spec, chunk) for chunk in chunks]
-        return [record for chunk, future in zip(chunks, futures)
-                for record in _chunk_records(spec, chunk, future)]
+        outcomes = _run_chunk(state, points)
+    else:
+        size = max(1, len(points) // (8 * workers))
+        chunks = [points[i:i + size] for i in range(0, len(points), size)]
+        # the pool forks every worker up front, and one past the chunks gets none
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(chunks))) as pool:
+            futures = [pool.submit(_run_chunk, state, chunk) for chunk in chunks]
+            outcomes = [outcome for chunk, future in zip(chunks, futures)
+                        for outcome in _chunk_outcomes(state, chunk, future)]
+    return [_record(p, outcome) for p, outcome in zip(points, outcomes)]
 
 
-def _chunk_records(spec: SweepSpec, chunk: list[dict], future) -> list[SweepRecord]:
+def _chunk_outcomes(state: fock.DensityMatrix, chunk: list, future) -> list:
     try:
         try:
             return future.result()
         except concurrent.futures.BrokenExecutor:
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
-                return solo.submit(_evaluate_chunk, spec, chunk).result()
+                return solo.submit(_run_chunk, state, chunk).result()
     except Exception as exc:
-        return [_record(_apply_point(spec.base, p), exc) for p in chunk]
+        return [exc] * len(chunk)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,14 @@ class TestSimulate:
         diagnostics = json.loads(out)["diagnostics"]
         assert (diagnostics["propagation"], diagnostics["n_steps"]) == ("stepped", 300)
 
+    @pytest.mark.parametrize("argv", [["--t", "99"], ["--t", "0", "--ly-over-g", "0.1"]],
+                             ids=" ".join)
+    def test_zero_phase_shift_is_positive(self, capsys, argv):
+        # -arg(u1) at arg(u1) = 0 would report -0.0
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        phase = json.loads(out)["diagnostics"]["phase_shift"]
+        assert (code, phase, math.copysign(1.0, phase)) == (0, 0.0, 1.0)
+
     def test_zero_duration_run(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--t", "0")
         assert code == 0
@@ -542,13 +550,18 @@ class TestCalibrateCommand:
         assert lines[0] == "r,d,roundtrip_residual"
         assert all(float(line.split(",")[2]) < 1e-12 for line in lines[1:])
 
-    @pytest.mark.parametrize("ratio", ["1e400", "0." + "9" * 400, "-0.8"],
-                             ids=["huge", "near-1", "negative"])
-    def test_out_of_range_ratio_exits_3(self, ratio):
+    @pytest.mark.parametrize("ratio,message", [
+        ("1e400", "must lie in (1/sqrt(2), 1), got 1e400"),
+        ("0." + "9" * 400, "lies too close to 1: its detuning overflows a float"),
+        ("-0.8", "must lie in (1/sqrt(2), 1), got -0.8"),
+        ("0.5", "must lie in (1/sqrt(2), 1), got 0.5"),
+    ], ids=["huge", "near-1", "negative", "half"])
+    def test_out_of_range_ratio_exits_3(self, ratio, message):
+        # the message names the ratio as it was typed
         done = run_process("calibrate", "--ratios", ratio)
         assert (done.returncode, done.stdout) == (3, "")
         [line] = done.stderr.splitlines()  # one line, no traceback
-        assert line.startswith("physics validation error: ratio")
+        assert line == f"physics validation error: ratio {message}"
 
     def test_empty_horizon_empty_table(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate", "--horizon-t", "0")

@@ -27,6 +27,31 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 FAST_BASE = SimParams(t=1.0, stepper=StepperConfig(dt_steps=300))
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for one that runs each task in this process as
+    it is submitted; returns the list of the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 def record(t, error, delta=0.0, status="ok"):
     return SweepRecord(t=t, delta_over_g=delta, ly_over_g=0.0, phs=1,
                        error=error, trace_drift=0.0, atom_residual=0.0,
@@ -89,8 +114,8 @@ class TestSweepSpec:
         spec = SweepSpec(axes=(Axis("t", (1.0, 2.0)), Axis("phs", (0.0, 1.0))),
                          base=FAST_BASE)
         grid = spec.grid()
-        assert grid == [{"t": 1.0, "phs": 0.0}, {"t": 1.0, "phs": 1.0},
-                        {"t": 2.0, "phs": 0.0}, {"t": 2.0, "phs": 1.0}]
+        assert [(p.t, p.phs) for p in grid] == [(1.0, 0), (1.0, 1), (2.0, 0), (2.0, 1)]
+        assert all(type(p.phs) is int and p.stepper == FAST_BASE.stepper for p in grid)
 
     def test_degenerate_axis_gives_empty_grid(self):
         spec = SweepSpec(axes=(Axis("t", ()),), base=FAST_BASE)
@@ -153,15 +178,29 @@ class TestRunSweep:
         with pytest.raises(PhysicsValidationError, match="seed must be >= 0"):
             circuit.input_state("random", -1, space)
 
-    def test_point_failure_recorded_not_raised(self):
-        # an enormous dissipative step blows past the positivity floor
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_failure_recorded_not_raised(self, workers):
+        # an enormous dissipative step blows past the positivity floor; at 2
+        # workers the exception crosses the pool and the parent records it
         base = SimParams(t=150.0, ly_over_g=1.0,
                          stepper=StepperConfig(dt_steps=1))
         spec = SweepSpec(axes=(Axis("t", (150.0,)),), base=base)
-        records = sweep.run_sweep(spec)
+        records = sweep.run_sweep(spec, workers=workers)
         assert records[0].status == "failed"
         assert math.isnan(records[0].error)
         assert "DiagnosticError" in records[0].message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_point_raises_before_any_point_runs(self, monkeypatch, pool_sizes,
+                                                        workers):
+        # delta_over_g = 10 at g = 2e153 overflows the Rabi frequency; 0 does not
+        spec = SweepSpec(axes=(Axis("delta_over_g", (0.0, 10.0)),),
+                         base=replace(FAST_BASE, g=2e153))
+        batches = []
+        monkeypatch.setattr(circuit, "run_batch", lambda *args: batches.append(args))
+        with pytest.raises(PhysicsValidationError, match="overflow the Rabi frequency"):
+            sweep.run_sweep(spec, workers=workers)
+        assert (pool_sizes, batches) == ([], [])
 
     def test_workers_do_not_change_results(self):
         spec = SweepSpec(axes=(Axis("t", (1.0, 2.0, 3.0, 4.0)),), base=FAST_BASE)
@@ -195,32 +234,14 @@ class TestRunSweep:
                        for r, s in zip(records, serial) if r.t != crash_t)
 
     @pytest.mark.parametrize("workers,pool_size", [(64, 13), (2, 2)])
-    def test_pool_capped_at_chunk_count(self, monkeypatch, workers, pool_size):
+    def test_pool_capped_at_chunk_count(self, pool_sizes, workers, pool_size):
         # a fork pool starts every worker up front: none may be left without
         # a chunk; the inline pool starts no process, whatever it is asked for
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
         spec = SweepSpec(axes=(Axis("t", tuple(float(t) for t in range(1, 14))),),
                          base=FAST_BASE)
         serial = sweep.run_sweep(spec, workers=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         records = sweep.run_sweep(spec, workers=workers)
-        assert sizes == [pool_size]
+        assert pool_sizes == [pool_size]
         assert [r.csv_row() for r in records] == [r.csv_row() for r in serial]
 
     def test_errors_in_unit_interval(self):
@@ -305,7 +326,7 @@ class TestDetunedOptimum:
         real_run_sweep = sweep.run_sweep
 
         def recording(spec, workers=1):
-            grids.append([(p["t"], p["delta_over_g"]) for p in spec.grid()])
+            grids.append([(p.t, p.delta_over_g) for p in spec.grid()])
             return real_run_sweep(spec, workers=workers)
 
         monkeypatch.setattr(sweep, "run_sweep", recording)
