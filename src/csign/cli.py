@@ -198,8 +198,7 @@ def cmd_sweep(args) -> int:
 
     # workers is a runtime knob, not part of the sweep identity: flag only;
     # by default one per CPU this process may run on
-    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    workers = args.workers if args.workers is not None else len(usable(0))
+    workers = args.workers if args.workers is not None else sweep.usable_cpus()
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     config = _load_config(args.config)
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int,
                          help="parallel worker processes (default: the usable CPUs); "
-                              "never more than the chunks of grid points")
+                              "never more than the usable CPUs or the chunks of "
+                              "grid points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="emit calibration candidate tables")

@@ -1,10 +1,10 @@
 """Parameter-sweep engine: grids over the gate knobs, optima, robustness.
 
 A sweep is a cartesian grid over at most two of (t, delta_over_g, ly_over_g,
-phs) on top of fixed base parameters.  Each grid point runs the full array
-once, as part of a ``circuit.run_batch``, and yields one record.  A point
-whose parameters fail validation stops the sweep before any point runs; a
-point that fails while it runs becomes a failed record (``nan`` in the CSV).
+phs) on top of fixed base parameters, checked point by point when the spec
+is made.  Each point runs the full array once, in a ``circuit.run_batch``,
+and yields one record; a point that fails while it runs becomes a failed
+record (``nan`` in the CSV).
 Results serialize to CSV plus a JSON manifest, both byte-deterministic for
 identical specs (wall-clock timing is kept out of the files for that reason
 and lives on the in-memory records).
@@ -80,7 +80,10 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid axes, fixed base parameters, and the input-state selector."""
+    """Grid axes, fixed base parameters, and the input-state selector; a
+    spec that exists holds ``points`` (not a field), the validated parameters
+    of each grid point: the base with one row-major combination of axis
+    values, ``phs`` as an int."""
 
     axes: tuple[Axis, ...]
     base: circuit.SimParams
@@ -102,17 +105,11 @@ class SweepSpec:
                 f"input selector must be one of {INPUT_SELECTORS}, got {self.input_state!r}")
         if self.seed < 0:
             raise PhysicsValidationError(f"seed must be >= 0, got {self.seed}")
-
-    def grid(self) -> list[circuit.SimParams]:
-        """Validated parameters of each point, the base with its axis values
-        (``phs`` as an int), in row-major axis order; empty axes give none."""
-        if not self.axes:
-            return []
-        points = [{}]
+        points = [{}] if self.axes else []
         for axis in self.axes:
             values = [int(v) for v in axis.values] if axis.name == "phs" else axis.values
             points = [dict(p, **{axis.name: v}) for p in points for v in values]
-        return [replace(self.base, **p) for p in points]
+        object.__setattr__(self, "points", tuple(replace(self.base, **p) for p in points))
 
     def as_dict(self) -> dict:
         return {
@@ -166,17 +163,23 @@ def _record(params: circuit.SimParams, outcome) -> SweepRecord:
                        atom_residual=outcome.atom_residual, wall_ms=outcome.wall_ms)
 
 
-def _run_chunk(state: fock.DensityMatrix, chunk: list[circuit.SimParams]) -> list:
+def _run_chunk(state: fock.DensityMatrix, chunk: Sequence[circuit.SimParams]) -> list:
     """One chunk's outcomes; module-level, so a process pool can pickle it."""
     return circuit.run_batch(state, chunk, fock.default_state_space())
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where there is one."""
+    usable = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    return len(usable(0))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point, in deterministic grid order.
 
-    The calling process builds the points (an invalid one raises
-    ``PhysicsValidationError`` before any point runs), the input state and
-    every record; a point that fails while it runs gives a failed record.
+    The spec already holds the checked points; the calling process builds
+    only the input state and every record, and a point that fails while it
+    runs gives a failed record.
 
     Each chunk of grid points runs as one ``circuit.run_batch``, and a
     serial sweep is one chunk, so its points run in stacked slices per
@@ -184,20 +187,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     slice's wall time (and of the batch's shared input stage), not a time
     measured for that point alone.
 
-    Workers > 1 fan chunks of grid points over processes, at most one
-    process per chunk, and collect them in grid order, so the output is
-    independent of the worker count.  A worker that dies breaks the pool
-    and every chunk not finished by then; each such chunk reruns alone in a
-    fresh one-worker pool, so only the chunk that crashed is lost.  A chunk
-    that still raises comes back as failed records naming the exception.
+    Workers > 1 fan chunks of grid points over a process pool, with no
+    more processes than usable CPUs or chunks (one on one CPU, but still a
+    pool), and collect them in grid order, so the output is independent of
+    the worker count.  A worker that dies breaks the pool and every chunk
+    not finished by then; each such chunk reruns alone in a fresh one-worker
+    pool, so only the chunk that crashed is lost.  A chunk that still raises
+    comes back as failed records naming the exception.
     """
-    points = spec.grid()
+    points = spec.points
     if not points:
         return []
     state = circuit.input_state(spec.input_state, spec.seed, fock.default_state_space())
     if workers <= 1:
         outcomes = _run_chunk(state, points)
     else:
+        workers = min(workers, usable_cpus())
         size = max(1, len(points) // (8 * workers))
         chunks = [points[i:i + size] for i in range(0, len(points), size)]
         # the pool forks every worker up front, and one past the chunks gets none
@@ -209,7 +214,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     return [_record(p, outcome) for p, outcome in zip(points, outcomes)]
 
 
-def _chunk_outcomes(state: fock.DensityMatrix, chunk: list, future) -> list:
+def _chunk_outcomes(state: fock.DensityMatrix, chunk: Sequence, future) -> list:
     try:
         try:
             return future.result()

@@ -323,6 +323,9 @@ class TestExitCodes:
                           "    - name: t\n      values: [1.0, 3.0]\n")
         zero_g = tmp_path / "zero_g.yaml"
         zero_g.write_text("physics:\n  g: 0.0\n")
+        huge_g = tmp_path / "huge_g.yaml"
+        huge_g.write_text("physics:\n  g: 2.0e+153\n  t: 1.0\nsweep:\n  axes:\n"
+                          "    - name: delta_over_g\n      values: [0.0, 10.0]\n")
         out_path = tmp_path / "out"
         for argv, name in (
                 (["simulate", "--t", "-1"], "t"),
@@ -338,10 +341,13 @@ class TestExitCodes:
                 (["calibrate", "--horizon-t", "1e307"], "candidates"),
                 # g^2 underflows, so the lowest Rabi frequency is 0
                 (["simulate", "--config", str(tiny_g)], "underflow"),
-                (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow")):
+                (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow"),
+                # the base is valid, but delta_over_g = 10 overflows the Rabi frequency
+                (["sweep", "--config", str(huge_g), "--workers", "1"], "Rabi"),
+                (["sweep", "--config", str(huge_g), "--workers", "2"], "Rabi")):
             code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
             assert (code, out) == (3, ""), argv
-            assert name in err
+            assert name in err and len(err.splitlines()) == 1, argv
             assert not out_path.exists(), argv
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -94,7 +94,7 @@ class TestAxis:
         with pytest.raises(PhysicsValidationError, match="more than 10 values"):
             Axis.from_range("t", 0.0, 5.0, 0.5)
         axes = [Axis("t", (1.0, 2.0, 3.0, 4.0, 5.0)), Axis("phs", (0.0, 1.0))]
-        assert len(SweepSpec(axes=tuple(axes), base=FAST_BASE).grid()) == 10
+        assert len(SweepSpec(axes=tuple(axes), base=FAST_BASE).points) == 10
         axes[0] = Axis("t", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         with pytest.raises(PhysicsValidationError, match="12 points, more than 10"):
             SweepSpec(axes=tuple(axes), base=FAST_BASE)
@@ -113,13 +113,13 @@ class TestSweepSpec:
     def test_grid_order_row_major(self):
         spec = SweepSpec(axes=(Axis("t", (1.0, 2.0)), Axis("phs", (0.0, 1.0))),
                          base=FAST_BASE)
-        grid = spec.grid()
+        grid = spec.points
         assert [(p.t, p.phs) for p in grid] == [(1.0, 0), (1.0, 1), (2.0, 0), (2.0, 1)]
         assert all(type(p.phs) is int and p.stepper == FAST_BASE.stepper for p in grid)
 
     def test_degenerate_axis_gives_empty_grid(self):
         spec = SweepSpec(axes=(Axis("t", ()),), base=FAST_BASE)
-        assert spec.grid() == []
+        assert spec.points == ()
         assert sweep.run_sweep(spec) == []
 
     def test_spec_hash_stable(self):
@@ -193,12 +193,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_invalid_point_raises_before_any_point_runs(self, monkeypatch, pool_sizes,
                                                         workers):
-        # delta_over_g = 10 at g = 2e153 overflows the Rabi frequency; 0 does not
-        spec = SweepSpec(axes=(Axis("delta_over_g", (0.0, 10.0)),),
-                         base=replace(FAST_BASE, g=2e153))
+        # delta_over_g = 10 at g = 2e153 overflows the Rabi frequency; 0 does not;
+        # the spec itself refuses the grid, so no sweep gets to start
         batches = []
         monkeypatch.setattr(circuit, "run_batch", lambda *args: batches.append(args))
         with pytest.raises(PhysicsValidationError, match="overflow the Rabi frequency"):
+            spec = SweepSpec(axes=(Axis("delta_over_g", (0.0, 10.0)),),
+                             base=replace(FAST_BASE, g=2e153))
             sweep.run_sweep(spec, workers=workers)
         assert (pool_sizes, batches) == ([], [])
 
@@ -233,16 +234,29 @@ class TestRunSweep:
             assert all(r.csv_row() == s.csv_row()
                        for r, s in zip(records, serial) if r.t != crash_t)
 
-    @pytest.mark.parametrize("workers,pool_size", [(64, 13), (2, 2)])
-    def test_pool_capped_at_chunk_count(self, pool_sizes, workers, pool_size):
-        # a fork pool starts every worker up front: none may be left without
-        # a chunk; the inline pool starts no process, whatever it is asked for
+    def check_pool_size(self, monkeypatch, pool_sizes, cpus, workers, pool_size):
+        # the inline pool starts no process, whatever it is asked for
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         spec = SweepSpec(axes=(Axis("t", tuple(float(t) for t in range(1, 14))),),
                          base=FAST_BASE)
         serial = sweep.run_sweep(spec, workers=1)
         records = sweep.run_sweep(spec, workers=workers)
         assert pool_sizes == [pool_size]
         assert [r.csv_row() for r in records] == [r.csv_row() for r in serial]
+
+    @pytest.mark.parametrize("workers,pool_size", [(64, 13), (2, 2)])
+    def test_pool_capped_at_chunk_count(self, monkeypatch, pool_sizes, workers,
+                                        pool_size):
+        # a fork pool starts every worker up front: none may be left without a chunk
+        self.check_pool_size(monkeypatch, pool_sizes, 64, workers, pool_size)
+
+    @pytest.mark.parametrize("cpus,workers,pool_size", [(2, 64, 2), (1, 2, 1)])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, pool_sizes, cpus, workers,
+                                        pool_size):
+        # more workers than CPUs only queue; one CPU still gets a pool, so a
+        # crash there loses only its chunk
+        self.check_pool_size(monkeypatch, pool_sizes, cpus, workers, pool_size)
 
     def test_errors_in_unit_interval(self):
         spec = SweepSpec(axes=(Axis("t", (0.5, 1.5, 2.5)),
@@ -326,7 +340,7 @@ class TestDetunedOptimum:
         real_run_sweep = sweep.run_sweep
 
         def recording(spec, workers=1):
-            grids.append([(p.t, p.delta_over_g) for p in spec.grid()])
+            grids.append([(p.t, p.delta_over_g) for p in spec.points])
             return real_run_sweep(spec, workers=workers)
 
         monkeypatch.setattr(sweep, "run_sweep", recording)
