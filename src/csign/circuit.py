@@ -35,7 +35,7 @@ from .dynamics import build_array_hamiltonian
 from .errors import PhysicsValidationError
 from .jc import PhysParams, compensating_phase
 from .lindblad import StepperConfig, _check_state, leak_operators, transit
-from .runio import INPUT_SELECTORS
+from .runio import check_input
 
 COMPUTATIONAL_SUPPORT_TOL = 1e-9
 #: most points of one Hamiltonian that run as one stack; the one bound on a batch's memory
@@ -63,8 +63,8 @@ class SimParams:
                 raise PhysicsValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t < 0:
             raise PhysicsValidationError(f"duration t must be >= 0, got {self.t}")
-        if self.phs not in (0, 1):
-            raise PhysicsValidationError(f"phs flag must be 0 or 1, got {self.phs}")
+        if type(self.phs) is not int or self.phs not in (0, 1):  # True and 1.0 pass `in`
+            raise PhysicsValidationError(f"phs flag must be the int 0 or 1, got {self.phs!r}")
         if self.ly_over_g < 0:
             raise PhysicsValidationError(f"ly_over_g must be >= 0, got {self.ly_over_g}")
         self.phys  # checks g before total_time divides by it, and before any point runs
@@ -225,14 +225,10 @@ def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
 
 def input_state(selector: str, seed: int, space: fock.StateSpace) -> fock.DensityMatrix:
     """The run input: the ``p_test`` projector, or a ``random`` valid input from ``seed``."""
-    if seed < 0:
-        raise PhysicsValidationError(f"seed must be >= 0, got {seed}")
+    check_input(selector, seed)
     if selector == "p_test":
         return p_test(space)
-    if selector == "random":
-        return random_valid_input(space, np.random.default_rng(seed))
-    raise PhysicsValidationError(
-        f"input selector must be one of {INPUT_SELECTORS}, got {selector!r}")
+    return random_valid_input(space, np.random.default_rng(seed))
 
 
 def error_rate(rho_expected: np.ndarray, rho_result: np.ndarray):

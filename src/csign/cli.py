@@ -1,8 +1,12 @@
 """Command-line front end: single runs, sweeps, and calibration tables.
 
-Configuration is a YAML key-value tree with sections ``physics``, ``stepper``,
-``sweep``, ``calibrate`` and ``output``; unknown keys and wrongly typed values
-are rejected.  Flags override the config file; the physics and stepper
+Configuration is a YAML key-value tree of sections.  Each command accepts
+only the keys it reads (:data:`CONFIG_SCHEMA`): ``simulate`` and ``sweep``
+read ``physics``, ``stepper``, ``sweep`` and ``output``, and ``calibrate``
+reads ``physics.g``, ``physics.delta_over_g`` and ``calibrate``; any other
+key, and a wrongly typed value, is a config error.  A sweep axis takes
+``values`` or ``start``/``stop``/``step``, and a swept value takes no flag or
+physics key.  Flags override the config file; the physics and stepper
 defaults are those of :class:`~csign.circuit.SimParams` and
 :class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
 3 physics validation error, 4 numerical diagnostic error.
@@ -36,40 +40,36 @@ from .runio import INPUT_SELECTORS, atomic_write
 if TYPE_CHECKING:
     from . import circuit, sweep
 
-# each key with the type its value must have; a float key also takes a YAML int
+# per command, each config key it reads with the type its value must have (a
+# float key also takes a YAML int); simulate and sweep share one config
 CONFIG_SCHEMA = {
-    "physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
-                "g": float},
-    "stepper": {"dt_steps": int},
-    "sweep": {"axes": list, "input": str, "seed": int},
-    "calibrate": {"horizon_t": float, "ratios": list},
-    "output": {"dir": str},
+    **dict.fromkeys(("simulate", "sweep"), {
+        "physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
+                    "g": float},
+        "stepper": {"dt_steps": int},
+        "sweep": {"axes": list, "input": str, "seed": int},
+        "output": {"dir": str},
+    }),
+    "calibrate": {"physics": {"g": float, "delta_over_g": float},
+                  "calibrate": {"horizon_t": float, "ratios": list}},
 }
 
-#: the config keys ``calibrate`` reads; it rejects every other key
-CALIBRATE_KEYS = {"physics": ("g", "delta_over_g"), "calibrate": ("horizon_t", "ratios")}
 
-
-def _float(value, where: str) -> float:
-    # a YAML int or float; exact types, since a YAML bool is an int subclass
-    if type(value) not in (int, float):
-        raise ConfigError(f"{where} must be float, got {value!r}")
-    return float(value)
-
-
-def _checked(section: str, key: str, value):
-    kind = CONFIG_SCHEMA[section].get(key)
-    if kind is None:
-        raise ConfigError(f"unknown key {section}.{key!r} in config")
-    if kind is float:
-        return _float(value, f"{section}.{key}")
-    if type(value) is not kind:  # exact type: a YAML bool is not an int
-        raise ConfigError(f"{section}.{key} must be {kind.__name__}, got {value!r}")
+def _checked(value, kind: type, where: str):
+    # exact types, since a YAML bool is an int subclass; a float also takes an int
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
     return value
 
 
-def _load_config(path: str | None) -> dict:
-    """The config file as ``{section: {key: value}}``, every value type-checked."""
+def _load_config(path: str | None, command: str) -> dict:
+    """The config file as ``{section: {key: value}}``, every value type-checked.
+
+    Every key must be one ``command`` reads (see :data:`CONFIG_SCHEMA`): one
+    ConfigError names all the others, each as ``section.key``, or a section
+    alone when it holds no key."""
     if path is None:
         return {}
     import yaml  # only a run with a config file pays for it
@@ -85,15 +85,22 @@ def _load_config(path: str | None) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
+    schema = CONFIG_SCHEMA[command]
+    unread = []
+    for section, keys in data.items():
+        if isinstance(keys, dict) and keys:
+            unread += [f"{section}.{key}" for key in keys if key not in schema.get(section, ())]
+        elif section not in schema:
+            unread.append(str(section))
+    if unread:
+        raise ConfigError(f"{command} does not read config keys {', '.join(unread)}")
     config = {}
     for section, keys in data.items():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
         if keys is None:
             continue
         if not isinstance(keys, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        config[section] = {key: _checked(section, key, value)
+        config[section] = {key: _checked(value, schema[section][key], f"{section}.{key}")
                            for key, value in keys.items()}
     return config
 
@@ -101,7 +108,7 @@ def _load_config(path: str | None) -> dict:
 def _settings(args, config, section: str) -> dict:
     """A config section with every flag given under the same name written over it."""
     values = dict(config.get(section, {}))
-    for key in CONFIG_SCHEMA[section]:
+    for key in CONFIG_SCHEMA[args.command][section]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -134,7 +141,7 @@ def _start_collector():
 def cmd_simulate(args) -> int:
     from . import circuit, fock
 
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     params = _sim_params(args, config)
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")
@@ -173,21 +180,20 @@ def _sweep_axes(config) -> tuple[sweep.Axis, ...]:
     for entry in axes_cfg:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"sweep axis entries need a name: {entry!r}")
-        extra = set(entry) - {"name", "values", "start", "stop", "step"}
-        if extra:
-            raise ConfigError(f"unknown axis keys {sorted(extra)}")
         name = entry["name"]
         where = f"sweep.axes: axis {name!r}"
+        shape = [key for key in entry if key != "name"]
+        if set(shape) not in ({"values"}, {"start", "stop", "step"}):
+            raise ConfigError(f"{where} takes values or start, stop and step, "
+                              f"got keys {shape}")
         try:
             if "values" in entry:
-                axes.append(sweep.Axis(name, tuple(_float(v, f"{where} value")
+                axes.append(sweep.Axis(name, tuple(_checked(v, float, f"{where} value")
                                                    for v in entry["values"])))
             else:
                 axes.append(sweep.Axis.from_range(
-                    name, *(_float(entry[key], f"{where} {key}")
+                    name, *(_checked(entry[key], float, f"{where} {key}")
                             for key in ("start", "stop", "step"))))
-        except KeyError as exc:
-            raise ConfigError(f"axis {name!r} needs values or start/stop/step") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: bad value: {exc}") from exc
     return tuple(axes)
@@ -201,10 +207,16 @@ def cmd_sweep(args) -> int:
     workers = args.workers if args.workers is not None else sweep.usable_cpus()
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
+    axes = _sweep_axes(config)
+    fixed = _settings(args, config, "physics")
+    swept = [axis.name for axis in axes if axis.name in fixed]
+    if swept:
+        raise ConfigError(f"sweep.axes sweeps {', '.join(swept)}: a swept value "
+                          f"takes no flag or physics key")
     run = _settings(args, config, "sweep")
     spec = sweep.SweepSpec(
-        axes=_sweep_axes(config),
+        axes=axes,
         base=_sim_params(args, config),
         input_state=run.get("input", "p_test"),
         seed=run.get("seed", 0),
@@ -234,11 +246,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
-    unread = [f"{section}.{key}" for section, keys in config.items() for key in keys
-              if key not in CALIBRATE_KEYS.get(section, ())]
-    if unread:
-        raise ConfigError(f"calibrate does not read config keys {', '.join(unread)}")
+    config = _load_config(args.config, args.command)
     physics = _settings(args, config, "physics")
     g = physics.get("g", PhysParams.g)
     params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)

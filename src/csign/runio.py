@@ -10,8 +10,19 @@ from __future__ import annotations
 
 import os
 
+from .errors import PhysicsValidationError
+
 #: names of the input states a run can start from (see ``circuit.input_state``)
 INPUT_SELECTORS = ("p_test", "random")
+
+
+def check_input(selector: str, seed: int):
+    """Raise PhysicsValidationError on an unknown ``selector``, then on a negative ``seed``."""
+    if selector not in INPUT_SELECTORS:
+        raise PhysicsValidationError(
+            f"input selector must be one of {INPUT_SELECTORS}, got {selector!r}")
+    if seed < 0:
+        raise PhysicsValidationError(f"seed must be >= 0, got {seed}")
 
 
 def atomic_write(path: str, text: str):

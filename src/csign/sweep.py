@@ -23,7 +23,7 @@ import numpy as np
 
 from . import circuit, fock
 from .errors import PhysicsValidationError
-from .runio import INPUT_SELECTORS, atomic_write
+from .runio import atomic_write, check_input
 
 AXIS_NAMES = ("t", "delta_over_g", "ly_over_g", "phs")
 AXIS_DOMAINS = {
@@ -100,11 +100,7 @@ class SweepSpec:
         if points > MAX_POINTS:
             raise PhysicsValidationError(
                 f"the grid has {points} points, more than {MAX_POINTS}")
-        if self.input_state not in INPUT_SELECTORS:
-            raise PhysicsValidationError(
-                f"input selector must be one of {INPUT_SELECTORS}, got {self.input_state!r}")
-        if self.seed < 0:
-            raise PhysicsValidationError(f"seed must be >= 0, got {self.seed}")
+        check_input(self.input_state, self.seed)
         points = [{}] if self.axes else []
         for axis in self.axes:
             values = [int(v) for v in axis.values] if axis.name == "phs" else axis.values

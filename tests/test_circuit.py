@@ -667,6 +667,13 @@ class TestSimParams:
         with pytest.raises(PhysicsValidationError):
             SimParams(t=1.0, ly_over_g=-0.5)
 
+    @pytest.mark.parametrize("phs", [True, False, 1.0, np.int64(1)], ids=repr)
+    def test_phs_must_be_an_int(self, phs):
+        # each equals 0 or 1, but would reach the report as true, 1.0 or a
+        # value json cannot write
+        with pytest.raises(PhysicsValidationError, match="phs flag"):
+            SimParams(t=1.0, phs=phs)
+
     def test_compensating_phase_zero_leak_resonant(self):
         # at resonance the one-photon amplitude is real: the compensator is
         # 0 or pi depending on its sign

@@ -203,6 +203,68 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("text,keys", [
+        ("calibrate:\n  horizon_t: 10.0\n", "calibrate.horizon_t"),
+        ("calibrate:\n  horizon_t: 10.0\n  ratios: [14/15]\nwarp: 9\n",
+         "calibrate.horizon_t, calibrate.ratios, warp"),
+        ("warp:\n  speed: 9\nphysics:\n  t: 1.0\n  warp: 9\nstepper:\n",
+         "warp.speed, physics.warp"),
+        ("calibrate:\n", "calibrate"),
+        ("physics:\n  t: fast\n  warp: 9\n", "physics.warp"),
+    ], ids=["calibrate-key", "calibrate-keys-and-section", "unknown-section",
+            "empty-calibrate-section", "before-type-check"])
+    def test_key_not_read_exits_2_and_names_it_once(self, capsys, tmp_path, command,
+                                                     text, keys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: ly_over_g\n      values: [0.0]\n"
+                       + text)
+        code, out, err = run_cli(capsys, command, "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {command} does not read config keys {keys}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys", [
+        ["values", "start", "stop", "step"],
+        ["values", "step"],
+        ["start", "stop"],
+        ["step"],
+        [],
+        ["start", "stop", "step", "num"],
+        ["values", "num"],
+    ], ids=lambda keys: "-".join(keys) or "name-only")
+    def test_axis_shape_exits_2(self, capsys, tmp_path, keys):
+        # an axis takes values or a range: no key of it is dropped silently
+        given = {"values": "[3.0, 7.0]", "start": "1.0", "stop": "2.0", "step": "0.5",
+                 "num": "3"}
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n"
+                       + "".join(f"      {key}: {given[key]}\n" for key in keys))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"config error: sweep.axes: axis 't' takes values or start, "
+                       f"stop and step, got keys {keys}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,physics", [
+        (["--t", "50"], ""),
+        ([], "physics:\n  t: 50.0\n"),
+        (["--delta-over-g", "1.0", "--t", "50"], "physics:\n  delta_over_g: 0.5\n"),
+    ], ids=["flag", "config", "flag-and-config"])
+    def test_swept_value_set_exits_2(self, capsys, tmp_path, flags, physics):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(physics + "sweep:\n  axes:\n    - name: t\n      values: [3.0, 7.0]\n"
+                       "    - name: delta_over_g\n      values: [0.0]\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *flags,
+                                 "--workers", "1", "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        swept = "t, delta_over_g" if "delta_over_g" in physics else "t"
+        assert err == (f"config error: sweep.axes sweeps {swept}: a swept value takes "
+                       f"no flag or physics key\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_input_selector_exits_3(self, capsys, tmp_path, command):
         cfg = tmp_path / "input.yaml"
         cfg.write_text("sweep:\n  input: randm\n  axes:\n    - name: t\n"
@@ -445,16 +507,18 @@ class TestSingleSource:
         assert json.loads(out)["params"] == SimParams(t=1.0).as_dict()
 
     def test_schema_keys_are_dataclass_fields(self):
-        assert set(cli.CONFIG_SCHEMA["physics"]) <= {f.name for f in fields(SimParams)}
-        assert set(cli.CONFIG_SCHEMA["stepper"]) <= {f.name for f in fields(StepperConfig)}
+        for schema in cli.CONFIG_SCHEMA.values():
+            assert set(schema.get("physics", ())) <= {f.name for f in fields(SimParams)}
+            assert set(schema.get("stepper", ())) <= {f.name for f in fields(StepperConfig)}
 
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
                              ids=os.path.basename)
     def test_shipped_configs_load(self, path):
-        args = cli.build_parser().parse_args(["sweep", "--config", path])
-        config = cli._load_config(path)
+        for command in ("simulate", "sweep"):
+            args = cli.build_parser().parse_args([command, "--config", path])
+            config = cli._load_config(path, command)
+            assert isinstance(cli._sim_params(args, config), SimParams)
         assert cli._sweep_axes(config)
-        assert isinstance(cli._sim_params(args, config), SimParams)
 
 
 class TestSweepCommand:

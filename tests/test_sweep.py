@@ -64,7 +64,7 @@ class TestAxis:
         assert axis.values == (2.0, 2.5, 3.0, 3.5, 4.0)
 
     def test_range_values_have_no_float_drift(self):
-        cfg = cli._load_config(os.path.join(CONFIGS, "error_vs_duration.yaml"))
+        cfg = cli._load_config(os.path.join(CONFIGS, "error_vs_duration.yaml"), "sweep")
         t_axis = next(a for a in cli._sweep_axes(cfg) if a.name == "t")
         assert t_axis.values == tuple(k / 20 for k in range(40, 2001))
         assert Axis.from_range("delta_over_g", 4.7897, 4.8097, 0.0005).values[8] == 4.7937
@@ -177,6 +177,14 @@ class TestRunSweep:
                       input_state="random", seed=-1)
         with pytest.raises(PhysicsValidationError, match="seed must be >= 0"):
             circuit.input_state("random", -1, space)
+
+    def test_selector_checked_before_seed(self, space):
+        # the spec and a single run apply one input rule, in one order
+        with pytest.raises(PhysicsValidationError, match="input selector"):
+            SweepSpec(axes=(Axis("t", (2.0,)),), base=FAST_BASE,
+                      input_state="randm", seed=-1)
+        with pytest.raises(PhysicsValidationError, match="input selector"):
+            circuit.input_state("randm", -1, space)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_failure_recorded_not_raised(self, workers):
