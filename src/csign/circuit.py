@@ -201,10 +201,9 @@ def ideal_csign(rho_in: np.ndarray) -> np.ndarray:
 def p_test(space: fock.StateSpace) -> fock.DensityMatrix:
     """Uniform-superposition probe: the rank-1 projector with all logical
     matrix entries 1/4, so every interference path of the array is active."""
-    vec = np.zeros(space.dim, dtype=complex)
-    for idx in fock.computational_indices(space):
-        vec[idx] = 0.5
-    return fock.DensityMatrix(space, np.outer(vec, vec.conj()))
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat[fock._logical_block(space)] = 0.25
+    return fock.DensityMatrix(space, mat)
 
 
 def random_valid_input(space: fock.StateSpace, rng: np.random.Generator,
@@ -284,8 +283,8 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     splitter run once.  The points are grouped by Hamiltonian and step
     count, that is by ``(g, delta_over_g, dt_steps)``, in slices of at most
     ``BATCH_SLICE``, the one bound on a stack, lossless or leaky.  Each slice
-    runs as stacked calls: one ``lindblad.transit``, which reports each
-    point's step count, one state check, then the shifter, the second
+    runs as stacked calls: one ``lindblad.transit``, which names each point's
+    path and step count, one state check, then the shifter, the second
     splitter and the scoring over the whole slice.  A slice whose stacked
     stage raises reruns one point at a time, so a failing point fails alone,
     with the exception it raises when run alone.
@@ -344,9 +343,9 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
             phi = np.array([compensating_phase(phys, p.total_time) if p.phs else 0.0
                             for p in params_seq])
             h = build_array_hamiltonian(space, phys, frame="rotating")
-            mats, steps = transit(stage_in, h, leak_operators(space), lys,
-                                  [p.total_time for p in params_seq], params_seq[0].stepper)
-            paths = ["stepped" if ly else "closed_form" for ly in lys]
+            mats, steps, paths = transit(stage_in, h, leak_operators(space), lys,
+                                         [p.total_time for p in params_seq],
+                                         params_seq[0].stepper)
         drift = _check_state(mats, max(steps))
         shift = phase_shifter(phi, space)  # the identity at angle 0: phs 0, or the ideal sign
         mats = shift[:, :, None] * mats * shift.conj()[:, None, :]

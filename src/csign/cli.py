@@ -142,6 +142,10 @@ def cmd_simulate(args) -> int:
     from . import circuit, fock
 
     config = _load_config(args.config, args.command)
+    axes = config.get("sweep", {}).get("axes", [])
+    if "t" not in _settings(args, config, "physics") and any(
+            isinstance(axis, dict) and axis.get("name") == "t" for axis in axes):
+        raise ConfigError("sweep.axes sweeps t, so simulate needs --t or physics.t")
     params = _sim_params(args, config)
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")

@@ -3,11 +3,11 @@
 One two-level atom exchanging excitation with a single cavity mode under the
 rotating-wave coupling splits into invariant two-dimensional blocks spanned
 by (|g,n+1>, |e,n>).  This module holds the exact single-cavity evolution
-over those blocks, an analytic oracle for the numeric propagator, with its
-5x5 Hamiltonian, and the Hamiltonian of the whole array.  The scalar
-formulas (the generalized Rabi frequency and the return amplitude that
-calibrates the compensating phase shifter) live in :mod:`csign.jc`, which
-needs no numpy.
+over those blocks, an analytic oracle for the numeric propagator built on
+the block amplitudes u_n and v_n of :mod:`csign.jc`, with its 5x5
+Hamiltonian, and the Hamiltonian of the whole array.  The scalar formulas
+(the generalized Rabi frequency, the block amplitudes and the shifter angle
+they calibrate) live in :mod:`csign.jc`, which needs no numpy.
 
 Sign convention: the detuning is ``delta = omega_a - omega_c`` throughout.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .errors import PhysicsValidationError
-from .jc import PhysParams, rabi_frequency
+from .jc import PhysParams, block_amplitudes
 
 #: basis order of the single-cavity helpers
 JC_BASIS = ("g0", "g1", "g2", "e0", "e1")
@@ -31,28 +31,21 @@ def analytic_evolve(amplitudes, t: float, params: PhysParams) -> np.ndarray:
     """Closed-form single-cavity evolution in the frame co-rotating with the mode.
 
     The input is the atom-ground superposition (alpha0, alpha1, alpha2) over
-    photon numbers 0..2; the result is the 5-vector over ``JC_BASIS``.  Each
-    photon sector rotates inside its invariant block:
-
-        |g,n> -> (cos(A) - i cos(2 theta) sin(A)) |g,n>
-                 - i sin(2 theta) sin(A) |e,n-1>,     A = Omega_{n-1} t / 2,
-
-    while the empty cavity picks up exp(+i t delta / 2).
+    photon numbers 0..2; the result is the 5-vector over ``JC_BASIS``.  The
+    empty cavity picks up the frame phase exp(+i t delta / 2), and each photon
+    sector rotates inside its invariant block, |g,n> -> u_n |g,n> + v_n |e,n-1>
+    with the :func:`csign.jc.block_amplitudes` u_n and v_n times that phase.
     """
     a0, a1, a2 = (complex(a) for a in amplitudes)
     norm = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise PhysicsValidationError(f"input amplitudes have norm^2 {norm}, expected 1")
+    frame = np.exp(0.5j * t * params.delta)
     out = np.zeros(5, dtype=complex)
-    out[0] = a0 * np.exp(0.5j * t * params.delta)
+    out[0] = a0 * frame
     for n_photons, amp, g_idx, e_idx in ((1, a1, 1, 3), (2, a2, 2, 4)):
-        block = n_photons - 1
-        omega = rabi_frequency(block, params)
-        # dressed mixing angle: tan(theta) = 2 sqrt(n+1) g / (Omega_n - delta)
-        theta = math.atan2(2.0 * math.sqrt(block + 1) * params.g, omega - params.delta)
-        half = 0.5 * omega * t
-        out[g_idx] = amp * (np.cos(half) - 1j * np.cos(2 * theta) * np.sin(half))
-        out[e_idx] = amp * (-1j * np.sin(2 * theta) * np.sin(half))
+        u, v = block_amplitudes(n_photons, params, t)
+        out[g_idx], out[e_idx] = amp * frame * u, amp * frame * v
     return out
 
 

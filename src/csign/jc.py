@@ -2,8 +2,8 @@
 
 One two-level atom exchanging excitation with a single cavity mode under the
 rotating-wave coupling splits into invariant two-dimensional blocks spanned
-by (|g,n+1>, |e,n>).  The Rabi frequency of a block, the return amplitude
-of an n-photon transit, the shifter angle and the lossless gate error are
+by (|g,n+1>, |e,n>).  The Rabi frequency of a block, the amplitudes u_n and
+v_n of an n-photon transit, the shifter angle and the lossless gate error are
 closed forms in ``math`` and ``cmath``, so calibration runs without numpy;
 ``dynamics`` and ``circuit`` build on them.
 
@@ -63,27 +63,24 @@ def rabi_frequency(n: int, params: PhysParams) -> float:
     return math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * (n + 1))
 
 
-def jc_return_amplitude(n_photons: int, params: PhysParams, t: float) -> complex:
-    """Amplitude for n photons (atom in g) to survive the cavity transit.
-
-    Measured relative to the empty-cavity sector, i.e. in the rotating frame
-    where the zero-photon amplitude stays exactly 1.
-    """
+def block_amplitudes(n_photons: int, params: PhysParams, t: float) -> tuple[complex, complex]:
+    """(u_n, v_n): the amplitudes of |g,n> and |e,n-1> after a cavity transit
+    of duration t from |g,n>, n >= 1, relative to the empty-cavity sector
+    (the rotating frame where the zero-photon amplitude stays exactly 1)."""
     if n_photons < 1:
-        return 1.0 + 0.0j
-    block = n_photons - 1
-    omega = rabi_frequency(block, params)
+        raise PhysicsValidationError(f"photon number must be >= 1, got {n_photons}")
+    omega = rabi_frequency(n_photons - 1, params)
     half = 0.5 * omega * t
-    return cmath.exp(-0.5j * params.delta * t) * (
-        math.cos(half) + 1j * (params.delta / omega) * math.sin(half)
-    )
+    frame = cmath.exp(-0.5j * params.delta * t)
+    return (frame * (math.cos(half) + 1j * (params.delta / omega) * math.sin(half)),
+            frame * (-2j * math.sqrt(n_photons) * params.g / omega * math.sin(half)))
 
 
 def compensating_phase(params: PhysParams, t: float) -> float:
     """Shifter angle phi = -arg(u1) that brings the one-photon component of a
     transit of duration t back in phase (the two-photon one turns by 2*phi);
     0 when |u1| < 1e-12, where the phase is undefined."""
-    u1 = jc_return_amplitude(1, params, t)
+    u1 = block_amplitudes(1, params, t)[0]
     return 0.0 if abs(u1) < 1e-12 else 0.0 - cmath.phase(u1)  # +0.0, not -0.0, at phase 0
 
 
@@ -95,6 +92,6 @@ def lossless_gate_error(params: PhysParams, t: float) -> float:
     the overlap (1 + 2 u1' - u2') / 4 with u_n' = e^{i n phi} u_n.
     """
     shift = cmath.exp(1j * compensating_phase(params, t))
-    overlap = 1.0 + 2.0 * shift * jc_return_amplitude(1, params, t) \
-        - shift * shift * jc_return_amplitude(2, params, t)
+    overlap = 1.0 + 2.0 * shift * block_amplitudes(1, params, t)[0] \
+        - shift * shift * block_amplitudes(2, params, t)[0]
     return math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2 / 16.0))

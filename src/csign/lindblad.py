@@ -3,9 +3,9 @@ trotterized master equation when photon-leak jumps are present.
 
 ``transit`` runs many points from one input as one stack: a point at T = 0
 keeps the input, the lossless ones take one ``closed_form`` stack and the
-leaky ones one ``stepped`` call; it alone decides each point's step count.
-The transit is linear in the input and checks nothing; its caller
-(``evolve``, or the pipeline once per slice) runs the state check.
+leaky ones one ``stepped`` call; it alone decides each point's path and
+step count.  The transit is linear in the input and checks nothing; its
+caller (``evolve``, or the pipeline once per slice) runs the state check.
 
 With no jump channel the run is one spectral exponential exp(-i H T), which
 is exact ("closed_form").  With jumps ("stepped"), one step conjugates the
@@ -62,11 +62,6 @@ class LindbladChannel:
 
     matrix: np.ndarray
     label: str = ""
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def leak_operators(space: fock.StateSpace) -> np.ndarray:
@@ -289,17 +284,19 @@ def _check_state(rho: np.ndarray, n_steps: int):
 
 
 def transit(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, lys, times,
-            cfg: StepperConfig = StepperConfig()) -> tuple[np.ndarray, list[int]]:
+            cfg: StepperConfig = StepperConfig()) -> tuple[np.ndarray, list[int], list[str]]:
     """The cavity-stage transit of ``rho`` for T = ``times[k]`` under H and the
     jumps ``lys[k] * jumps`` (one (n, d, d) stack), for each k, as one stack,
-    and each point's step count: ``cfg.dt_steps`` if leaky, else 0.
+    with each point's step count and path.
 
-    A point at T = 0 keeps ``rho``; one at T > 0 is leaky when ``lys[k] > 0``
-    and the stack is not empty.  The lossless points run as one
-    :func:`closed_form` stack and the leaky ones as one :func:`stepped` call.
-    The map is linear in ``rho`` and checks nothing, so a matrix that is not
-    a state (a matrix unit, say) evolves right too.  The caller checks the
-    states it gets with :func:`_check_state`.
+    A point's path is "stepped" when ``lys[k] > 0`` and the stack is not
+    empty, else "closed_form"; it takes ``cfg.dt_steps`` steps when stepped
+    at T > 0, else none.  A point at T = 0 keeps ``rho``; the other
+    closed-form points run as one :func:`closed_form` stack and the other
+    stepped ones as one :func:`stepped` call.  The map is linear in ``rho``
+    and checks nothing, so a matrix that is not a state (a matrix unit, say)
+    evolves right too.  The caller checks the states it gets with
+    :func:`_check_state`.
     """
     times = np.asarray(times, dtype=float)
     lys = np.asarray(lys, dtype=float)
@@ -308,15 +305,16 @@ def transit(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, lys, times,
     if not (lys >= 0).all():
         raise PhysicsValidationError(f"leak coefficient must be >= 0, got {lys.min()}")
     mats = np.empty((len(times),) + rho.shape, dtype=complex)
+    leaky = (lys > 0) & (len(jumps) > 0)  # the "stepped" path
     still = times == 0
-    leaky = ~still & (lys > 0) & (len(jumps) > 0)
-    closed = ~still & ~leaky
+    closed, stepping = ~still & ~leaky, ~still & leaky
     mats[still] = rho
     if closed.any():
         mats[closed] = closed_form(rho, h, times[closed])
-    if leaky.any():
-        mats[leaky] = stepped(rho, h, jumps, lys[leaky], times[leaky], cfg)
-    return mats, np.where(leaky, cfg.dt_steps, 0).tolist()
+    if stepping.any():
+        mats[stepping] = stepped(rho, h, jumps, lys[stepping], times[stepping], cfg)
+    return (mats, np.where(stepping, cfg.dt_steps, 0).tolist(),
+            np.where(leaky, "stepped", "closed_form").tolist())
 
 
 def evolve(rho: fock.DensityMatrix, h: np.ndarray,
@@ -331,14 +329,13 @@ def evolve(rho: fock.DensityMatrix, h: np.ndarray,
     the result is U rho U^dag with U = exp(-i H T), exact, so ``dt_steps``
     has no effect ("closed_form", no steps).  With jumps it is that of
     exactly ``cfg.dt_steps`` first-order steps of dt = T / dt_steps
-    ("stepped").  At T = 0 the result is ``rho`` itself.
+    ("stepped").  At T = 0 the result is ``rho`` itself, with no step.
     """
     jumps = np.array([c.matrix for c in channels], complex).reshape((-1,) + rho.matrix.shape)
-    mats, (n_steps,) = transit(rho.matrix, h, jumps, [1.0], [total_time], cfg)
+    mats, (n_steps,), (path,) = transit(rho.matrix, h, jumps, [1.0], [total_time], cfg)
     drift = _check_state(mats, n_steps)
     out = rho if total_time == 0 else fock.DensityMatrix(rho.space, mats[0], check=False)
-    return EvolveResult(out, n_steps, float(drift[0]),
-                        "stepped" if channels else "closed_form")
+    return EvolveResult(out, n_steps, float(drift[0]), path)
 
 
 def stepped(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, lys, times,

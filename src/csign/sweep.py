@@ -25,7 +25,6 @@ from . import circuit, fock
 from .errors import PhysicsValidationError
 from .runio import atomic_write, check_input
 
-AXIS_NAMES = ("t", "delta_over_g", "ly_over_g", "phs")
 AXIS_DOMAINS = {
     "t": (0.0, 200.0),
     "delta_over_g": (-10.0, 10.0),
@@ -45,7 +44,7 @@ class Axis:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.name not in AXIS_NAMES:
+        if self.name not in AXIS_DOMAINS:
             raise PhysicsValidationError(f"unknown sweep axis {self.name!r}")
         lo, hi = AXIS_DOMAINS[self.name]
         for v in self.values:

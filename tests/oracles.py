@@ -172,8 +172,8 @@ def damped_cavity_population(t_abs, ly):
 # ---------------------------------------------------------------------------
 
 def jc_return_amplitude_numpy(n_photons, params, t):
-    """``jc.jc_return_amplitude`` term by term, with numpy's exp, cos and sin
-    in place of cmath's and math's."""
+    """u_n of ``jc.block_amplitudes`` term by term, with numpy's exp, cos and
+    sin in place of cmath's and math's."""
     if n_photons < 1:
         return 1.0 + 0.0j
     omega = math.sqrt(params.delta ** 2 + 4.0 * params.g ** 2 * n_photons)

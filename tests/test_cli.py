@@ -264,12 +264,31 @@ class TestExitCodes:
                        f"no flag or physics key\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shipped", [True, False], ids=["shipped", "values"])
+    def test_simulate_of_a_duration_sweep_needs_a_duration(self, capsys, tmp_path, shipped):
+        # a config that sweeps t sets no duration of its own: simulate needs
+        # --t or physics.t, and does not run at t = 0
+        axes = "sweep:\n  axes:\n    - name: t\n      values: [3.0, 7.0]\n"
+        cfg = os.path.join(CONFIGS, "error_vs_duration.yaml")
+        if not shipped:
+            cfg = tmp_path / "sweep.yaml"
+            cfg.write_text(axes)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == "config error: sweep.axes sweeps t, so simulate needs --t or physics.t\n"
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "base.yaml").write_text("physics:\n  t: 3.0\n" + axes)
+        for argv in ([str(cfg), "--t", "3"], [str(tmp_path / "base.yaml")]):
+            code, out, _ = run_cli(capsys, "simulate", "--config", *argv)
+            assert code == 0 and json.loads(out)["params"]["t"] == 3.0
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_input_selector_exits_3(self, capsys, tmp_path, command):
         cfg = tmp_path / "input.yaml"
         cfg.write_text("sweep:\n  input: randm\n  axes:\n    - name: t\n"
                        "      values: [0.0]\n")
-        extra = ["--workers", "1"] if command == "sweep" else []
+        extra = ["--workers", "1"] if command == "sweep" else ["--t", "1"]
         code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
                                  "--out", str(tmp_path / "out"))
         assert code == 3
@@ -282,7 +301,7 @@ class TestExitCodes:
         seed = "\n  seed: -1" if where == "config" else ""
         cfg.write_text(f"sweep:\n  input: random{seed}\n  axes:\n    - name: t\n"
                        "      values: [1.0]\n")
-        extra = ["--workers", "1"] if command == "sweep" else []
+        extra = ["--workers", "1"] if command == "sweep" else ["--t", "1"]
         extra += ["--seed=-1"] if where == "flag" else []
         code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
                                  "--out", str(tmp_path / "out"))
@@ -402,7 +421,7 @@ class TestExitCodes:
                 (["simulate", "--t", "1e308"], "total time"),
                 (["calibrate", "--horizon-t", "1e307"], "candidates"),
                 # g^2 underflows, so the lowest Rabi frequency is 0
-                (["simulate", "--config", str(tiny_g)], "underflow"),
+                (["simulate", "--config", str(tiny_g), "--t", "1"], "underflow"),
                 (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow"),
                 # the base is valid, but delta_over_g = 10 overflows the Rabi frequency
                 (["sweep", "--config", str(huge_g), "--workers", "1"], "Rabi"),

@@ -8,7 +8,7 @@ from csign import dynamics, fock, jc, lindblad
 from csign.errors import PhysicsValidationError
 from csign.jc import PhysParams
 
-from oracles import array_hamiltonian_oracle
+from oracles import array_hamiltonian_oracle, expm, jc_survival_amplitude
 
 
 def params_for(g=1.0, delta=0.0, omega_c=10.0):
@@ -44,7 +44,7 @@ class TestPhysParams:
         for g, delta in ((1e-310, 1e-150), (1e-160, 0.0)):
             params = PhysParams(g=g, omega_c=1.0, delta=delta)
             assert jc.rabi_frequency(0, params) > 0
-            assert math.isfinite(abs(jc.jc_return_amplitude(1, params, 1.0)))
+            assert all(math.isfinite(abs(a)) for a in jc.block_amplitudes(1, params, 1.0))
 
 
 class TestRabiFrequency:
@@ -64,8 +64,9 @@ class TestRabiFrequency:
 
 class TestBlockEigensystem:
     """Each invariant block (|g,n+1>, |e,n>) of the interaction-frame
-    Hamiltonian, diagonalized numerically, against the Rabi frequency and the
-    dressed mixing angle that :func:`dynamics.analytic_evolve` uses."""
+    Hamiltonian, diagonalized numerically, against the Rabi frequency, and
+    :func:`dynamics.analytic_evolve` at half a Rabi cycle against the dressed
+    mixing angle of its eigenvectors."""
 
     def test_matches_numeric_2x2_diagonalization(self, rng):
         for _ in range(200):
@@ -116,24 +117,26 @@ class TestAnalyticEvolve:
             dynamics.analytic_evolve((1.0, 1.0, 0.0), 1.0, params_for())
 
 
-class TestReturnAmplitude:
-    def test_zero_photons_trivial(self):
-        assert jc.jc_return_amplitude(0, params_for(delta=1.3), 7.7) == 1.0
+class TestBlockAmplitudes:
+    def test_zero_photons_rejected(self):
+        with pytest.raises(PhysicsValidationError, match="photon number"):
+            jc.block_amplitudes(0, params_for(delta=1.3), 7.7)
 
-    def test_matches_analytic_evolve_relative_phase(self, rng):
-        # the return amplitude is the n-photon amplitude relative to the
-        # empty-cavity sector of the closed-form evolution
+    def test_matches_independent_references(self, rng):
+        # u against the rederived survival amplitude, u and v against the
+        # numeric exponential of the 2x2 block of the interaction-frame
+        # Hamiltonian, relative to the empty cavity's phase exp(-i H[g0, g0] t)
         for _ in range(50):
             p = params_for(g=rng.uniform(0.2, 1.5), delta=rng.uniform(-2, 2))
             t = rng.uniform(0.1, 20)
-            for n, idx in ((1, 1), (2, 2)):
-                amps = [0.0, 0.0, 0.0]
-                amps[0] = 1 / math.sqrt(2)
-                amps[n] = 1 / math.sqrt(2)
-                out = dynamics.analytic_evolve(tuple(amps), t, p)
-                relative = out[idx] / out[0]
-                assert jc.jc_return_amplitude(n, p, t) == pytest.approx(
-                    relative, abs=1e-12)
+            h = dynamics.build_jc_hamiltonian(p)
+            for n in (1, 2):
+                u, v = jc.block_amplitudes(n, p, t)
+                assert abs(u - jc_survival_amplitude(n, p.delta / p.g, t, p.g)) <= 1e-12
+                rows = [dynamics.JC_BASIS.index(f"g{n}"), dynamics.JC_BASIS.index(f"e{n - 1}")]
+                block = expm(-1j * t * h[np.ix_(rows, rows)]) / np.exp(-1j * t * h[0, 0])
+                assert np.max(np.abs(block[:, 0] - [u, v])) <= 1e-12
+                assert abs(u) ** 2 + abs(v) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSingleCavityHamiltonian:

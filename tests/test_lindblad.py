@@ -412,7 +412,7 @@ class TestTransit:
         # |11><00| from the logical block, after the first splitter: not
         # Hermitian and of trace 0, so not a state; each point (leaky,
         # lossless, t = 0) against the explicit step loop, and the step
-        # count each point reports
+        # count and path each point reports
         b, _, _, a = fock.computational_indices(space)
         unit = np.zeros((space.dim, space.dim), dtype=complex)
         unit[a, b] = 1.0
@@ -422,8 +422,9 @@ class TestTransit:
         cfg = StepperConfig(dt_steps=200)
         jumps, lys = lindblad.leak_operators(space), [1e-3, 0.0, 0.02, 0.0, 0.01]
         times = [30.0, 30.0, 12.0, 0.0, 0.0]
-        mats, steps = lindblad.transit(rho, h, jumps, lys, times, cfg)
+        mats, steps, paths = lindblad.transit(rho, h, jumps, lys, times, cfg)
         assert steps == [cfg.dt_steps, 0, cfg.dt_steps, 0, 0]
+        assert paths == ["stepped", "closed_form", "stepped", "closed_form", "stepped"]
         for k, (ly, total) in enumerate(zip(lys, times)):
             n = cfg.dt_steps if total else 0
             dt = total / cfg.dt_steps
@@ -432,6 +433,32 @@ class TestTransit:
             assert np.max(np.abs(mats[k] - expected)) <= 1e-12, k
         assert np.array_equal(mats[3], rho) and np.array_equal(mats[4], rho)
         assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > 0.1
+
+    @pytest.mark.parametrize("ly_over_g,t,stack,expected", [
+        (0.0, 0.0, True, ("closed_form", 0)),
+        (0.0, 3.0, True, ("closed_form", 0)),
+        (0.01, 0.0, True, ("stepped", 0)),
+        (0.01, 3.0, True, ("stepped", 200)),
+        (0.01, 0.0, False, ("closed_form", 0)),
+        (0.01, 3.0, False, ("closed_form", 0)),
+    ])
+    def test_path_rule(self, space, probe, ly_over_g, t, stack, expected):
+        # a point is "stepped" when it leaks and the jump stack is not empty,
+        # and takes steps only when stepped at T > 0; transit, evolve (the
+        # point's own jumps as channels) and run_batch (always both leak
+        # jumps) report the same path and step count
+        params = circuit.SimParams(t=t, ly_over_g=ly_over_g, stepper=StepperConfig(dt_steps=200))
+        ly, jumps = ly_over_g * params.g, lindblad.leak_operators(space)[:2 if stack else 0]
+        h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
+        _, steps, paths = lindblad.transit(probe.matrix, h, jumps, [ly], [params.total_time],
+                                           params.stepper)
+        assert (paths[0], steps[0]) == expected
+        channels = [LindbladChannel(j) for j in ly * jumps] if ly else []
+        alone = lindblad.evolve(probe, h, channels, params.total_time, params.stepper)
+        assert (alone.propagation, alone.n_steps) == expected
+        if stack:
+            (report,) = circuit.run_batch(probe, [params], space)
+            assert (report.propagation, report.n_steps) == expected
 
     def test_rejects_negative_time(self):
         rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -465,13 +492,14 @@ class TestTransit:
         lys, times = lys[order], times[order]
         cfg = StepperConfig(dt_steps=int(rng.integers(50, 400)))
         jumps = lindblad.leak_operators(space)
-        mats, steps = lindblad.transit(rho, h, jumps, lys, times, cfg)
+        mats, steps, paths = lindblad.transit(rho, h, jumps, lys, times, cfg)
         assert np.max(np.abs(rho - rho.conj().T)) > 1e-4
         for k, (ly, total) in enumerate(zip(lys, times)):
             channels = [LindbladChannel(j) for j in ly * jumps] if ly else []
             alone = lindblad.evolve(dm(space, rho), h, channels, total, cfg)
             assert np.array_equal(mats[k], alone.rho.matrix), k
             assert steps[k] == alone.n_steps == (cfg.dt_steps if ly and total else 0)
+            assert paths[k] == alone.propagation == ("stepped" if ly else "closed_form")
             dt = total / cfg.dt_steps
             expected = trotter_steps(rho, lindblad.unitary_step_matrix(h, dt), ly * jumps, dt,
                                      cfg.dt_steps if total else 0)
@@ -673,9 +701,9 @@ class TestChannels:
     def test_leak_channels_disabled_at_zero(self, space, probe):
         # a zero leak coefficient makes a point lossless: the closed form, no step
         h = dynamics.build_array_hamiltonian(space, PhysParams(delta=0.3), frame="rotating")
-        mats, steps = lindblad.transit(probe.matrix, h, lindblad.leak_operators(space),
-                                       [0.0], [30.0])
-        assert steps == [0]
+        mats, steps, paths = lindblad.transit(probe.matrix, h, lindblad.leak_operators(space),
+                                              [0.0], [30.0])
+        assert (steps, paths) == ([0], ["closed_form"])
         assert np.array_equal(mats, lindblad.closed_form(probe.matrix, h, [30.0]))
 
     def test_leak_channels_target_cavity_rails(self, space):
