@@ -263,7 +263,7 @@ def _ideal_reference(rho_in: fock.DensityMatrix, space: fock.StateSpace) -> np.n
 
 
 def run_array(rho_in: fock.DensityMatrix, params: SimParams,
-              space: fock.StateSpace = None, use_ideal_ns: bool = False) -> GateReport:
+              space: fock.StateSpace, use_ideal_ns: bool = False) -> GateReport:
     """Run the full array on a valid two-photon input and score it.
 
     The one-point case of :func:`run_batch`: the point's exception is raised.
@@ -275,7 +275,7 @@ def run_array(rho_in: fock.DensityMatrix, params: SimParams,
 
 
 def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
-              space: fock.StateSpace = None, use_ideal_ns: bool = False) -> list:
+              space: fock.StateSpace, use_ideal_ns: bool = False) -> list:
     """Run the full array on one input at each point of ``params_seq``.
 
     Returns one outcome per point, in order: its :class:`GateReport`, or the
@@ -298,8 +298,6 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     """
     started = time.perf_counter()
     params_seq = list(params_seq)
-    if space is None:
-        space = fock.default_state_space()
     try:
         if rho_in.space is not space and rho_in.space != space:
             raise PhysicsValidationError("input state lives on a different state space")

@@ -1,13 +1,14 @@
 """Command-line front end: single runs, sweeps, and calibration tables.
 
 Configuration is a YAML key-value tree of sections.  Each command accepts
-only the keys it reads (:data:`CONFIG_SCHEMA`): ``simulate`` and ``sweep``
-read ``physics``, ``stepper``, ``sweep`` and ``output``, and ``calibrate``
-reads ``physics.g``, ``physics.delta_over_g`` and ``calibrate``; any other
-key, and a wrongly typed value, is a config error.  A sweep axis takes
-``values`` or ``start``/``stop``/``step``, and a swept value takes no flag or
-physics key.  Flags override the config file; the physics and stepper
-defaults are those of :class:`~csign.circuit.SimParams` and
+only the keys it applies (:data:`CONFIG_SCHEMA`): ``simulate`` reads
+``physics``, ``stepper``, ``sweep.input`` and ``sweep.seed``, ``sweep`` also
+``sweep.axes`` and ``output.dir``, and ``calibrate`` ``physics.g``,
+``physics.delta_over_g`` and ``calibrate``.  Any other key, a wrongly typed
+value, a swept value set by a flag or physics key, and ``calibrate.ratios``
+with any other setting are config errors.  A sweep axis takes ``values`` or
+``start``/``stop``/``step``.  Flags override the config file; the physics
+and stepper defaults are those of :class:`~csign.circuit.SimParams` and
 :class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
 3 physics validation error, 4 numerical diagnostic error.
 
@@ -40,16 +41,14 @@ from .runio import INPUT_SELECTORS, atomic_write
 if TYPE_CHECKING:
     from . import circuit, sweep
 
-# per command, each config key it reads with the type its value must have (a
-# float key also takes a YAML int); simulate and sweep share one config
-CONFIG_SCHEMA = {
-    **dict.fromkeys(("simulate", "sweep"), {
-        "physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
+# per command, each config key it applies with the type its value must have (a
+# float key also takes a YAML int); sweep also reads its axes and output directory
+_RUN = {"physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
                     "g": float},
-        "stepper": {"dt_steps": int},
-        "sweep": {"axes": list, "input": str, "seed": int},
-        "output": {"dir": str},
-    }),
+        "stepper": {"dt_steps": int}, "sweep": {"input": str, "seed": int}}
+CONFIG_SCHEMA = {
+    "simulate": _RUN,
+    "sweep": {**_RUN, "sweep": {"axes": list, **_RUN["sweep"]}, "output": {"dir": str}},
     "calibrate": {"physics": {"g": float, "delta_over_g": float},
                   "calibrate": {"horizon_t": float, "ratios": list}},
 }
@@ -142,10 +141,6 @@ def cmd_simulate(args) -> int:
     from . import circuit, fock
 
     config = _load_config(args.config, args.command)
-    axes = config.get("sweep", {}).get("axes", [])
-    if "t" not in _settings(args, config, "physics") and any(
-            isinstance(axis, dict) and axis.get("name") == "t" for axis in axes):
-        raise ConfigError("sweep.axes sweeps t, so simulate needs --t or physics.t")
     params = _sim_params(args, config)
     space = fock.default_state_space()
     run = _settings(args, config, "sweep")
@@ -251,14 +246,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config, args.command)
-    physics = _settings(args, config, "physics")
-    g = physics.get("g", PhysParams.g)
-    params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)
     section = _settings(args, config, "calibrate")
-    ratios = section.get("ratios")
-    if ratios and "horizon_t" in section:
-        raise ConfigError("calibrate takes calibrate.horizon_t (--horizon-t) or "
-                          "calibrate.ratios (--ratios), not both")
+    ratios = section.pop("ratios", None)
+    physics = _settings(args, config, "physics")
+    given = [f"calibrate.{key}" for key in section] + [f"physics.{key}" for key in physics]
+    if ratios and given:  # the detuning table depends on the ratios alone
+        raise ConfigError(f"calibrate.ratios (--ratios) takes no other setting, got "
+                          f"{', '.join(given)}")
 
     lines = []
     if ratios:
@@ -275,6 +269,8 @@ def cmd_calibrate(args) -> int:
         for row in calibrate.detuning_table(texts):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
+        g = physics.get("g", PhysParams.g)
+        params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)
         lines.append("t,delta_over_g,residual")
         _start_collector()
         for row in calibrate.candidate_table(params, section.get("horizon_t", 0.0)):

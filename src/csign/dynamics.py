@@ -82,7 +82,7 @@ def build_array_hamiltonian(space: fock.StateSpace, params: PhysParams,
     coupling = np.zeros((space.dim, space.dim), dtype=complex)
     for rail, atom in (("x1", "a1"), ("y1", "a2")):
         a = fock.annihilation_matrix(rail, space)
-        sig_plus = fock.atom_raising_matrix(atom, space)
+        sig_plus = fock.atom_lowering_matrix(atom, space).conj().T
         term = sig_plus @ a
         coupling += term + term.conj().T
     if frame == "lab":

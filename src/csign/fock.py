@@ -122,7 +122,7 @@ class StateSpace:
 
 
 class DensityMatrix:
-    """Hermitian, positive, trace <= 1 complex matrix over a state space."""
+    """Hermitian, positive, trace-1 complex matrix over a state space."""
 
     def __init__(self, space, matrix: np.ndarray, *, check: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
@@ -135,8 +135,8 @@ class DensityMatrix:
             if herm > HERMITICITY_TOL:
                 raise PhysicsValidationError(f"non-Hermitian by {herm:.3e}")
             tr = matrix.trace().real
-            if not (0.0 < tr <= 1.0 + TRACE_TOL):
-                raise PhysicsValidationError(f"trace {tr} outside (0, 1]")
+            if not abs(tr - 1.0) <= TRACE_TOL:  # also a nan trace; drift is measured from 1
+                raise PhysicsValidationError(f"trace {tr} is not 1")
             lo = np.linalg.eigvalsh(matrix)[0]
             if lo < EIGENVALUE_FLOOR:
                 raise PhysicsValidationError(f"negative eigenvalue {lo:.3e}")
@@ -209,10 +209,6 @@ def atom_lowering_matrix(atom: str, space: StateSpace) -> np.ndarray:
         if getattr(s, atom) == E:
             mat[space.index_of(replace(s, **{atom: G})), i] = 1.0
     return frozen(mat)
-
-
-def atom_raising_matrix(atom: str, space: StateSpace) -> np.ndarray:
-    return frozen(atom_lowering_matrix(atom, space).conj().T)
 
 
 def total_excitation_matrix(space: StateSpace) -> np.ndarray:

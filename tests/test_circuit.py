@@ -628,6 +628,16 @@ class TestRunBatch:
             assert report_bits(batch[k]) == \
                 report_bits(circuit.run_array(probe, points[k], space))
 
+    def test_input_on_another_space_fails_every_point(self, space):
+        vacuum = fock.BasisState(0, 0, 0, 0, fock.G, fock.G)
+        other = fock.StateSpace(tuple(s for s in space.states if s != vacuum))
+        assert other.dim == space.dim - 1
+        batch = circuit.run_batch(circuit.p_test(other), [SimParams(t=1.0), SimParams(t=2.0)],
+                                  space)
+        assert all(isinstance(outcome, PhysicsValidationError) for outcome in batch)
+        assert [str(outcome) for outcome in batch] == \
+            ["input state lives on a different state space"] * 2
+
     def test_bad_input_fails_every_point(self, space):
         vec = np.zeros(space.dim, dtype=complex)
         vec[space.index_of(fock.BasisState(2, 0, 0, 0, 0, 0))] = 1.0

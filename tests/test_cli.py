@@ -13,11 +13,15 @@ import pytest
 
 from csign import cli
 from csign.circuit import SimParams
+from csign.errors import ConfigError
 from csign.lindblad import StepperConfig
 
 from oracles import csign_zero_leak_error
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+#: the stderr line of simulate on any shipped config: each one is a sweep
+SWEEP_ONLY = "config error: simulate does not read config keys sweep.axes, output.dir\n"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 RUN_FLAGS = {"--config", "--t", "--delta-over-g", "--ly-over-g", "--phs",
              "--dt-steps", "--seed", "--input", "--out"}
@@ -216,8 +220,8 @@ class TestExitCodes:
     def test_key_not_read_exits_2_and_names_it_once(self, capsys, tmp_path, command,
                                                      text, keys):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text("sweep:\n  axes:\n    - name: ly_over_g\n      values: [0.0]\n"
-                       + text)
+        axes = "sweep:\n  axes:\n    - name: ly_over_g\n      values: [0.0]\n"
+        cfg.write_text((axes if command == "sweep" else "") + text)
         code, out, err = run_cli(capsys, command, "--config", str(cfg),
                                  "--out", str(tmp_path / "out"))
         assert (code, out) == (2, "")
@@ -264,30 +268,33 @@ class TestExitCodes:
                        f"no flag or physics key\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("shipped", [True, False], ids=["shipped", "values"])
-    def test_simulate_of_a_duration_sweep_needs_a_duration(self, capsys, tmp_path, shipped):
-        # a config that sweeps t sets no duration of its own: simulate needs
-        # --t or physics.t, and does not run at t = 0
-        axes = "sweep:\n  axes:\n    - name: t\n      values: [3.0, 7.0]\n"
-        cfg = os.path.join(CONFIGS, "error_vs_duration.yaml")
-        if not shipped:
-            cfg = tmp_path / "sweep.yaml"
-            cfg.write_text(axes)
-        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+    @pytest.mark.parametrize("flags", [[], ["--t", "99"]], ids=["config", "t-flag"])
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_simulate_names_sweep_only_keys(self, capsys, tmp_path, path, flags):
+        # simulate runs one point: it would drop a config's axes and output directory
+        code, out, err = run_cli(capsys, "simulate", "--config", path, *flags,
                                  "--out", str(tmp_path / "out"))
-        assert (code, out) == (2, "")
-        assert err == "config error: sweep.axes sweeps t, so simulate needs --t or physics.t\n"
+        assert (code, out, err) == (2, "", SWEEP_ONLY)
         assert not (tmp_path / "out").exists()
-        (tmp_path / "base.yaml").write_text("physics:\n  t: 3.0\n" + axes)
-        for argv in ([str(cfg), "--t", "3"], [str(tmp_path / "base.yaml")]):
-            code, out, _ = run_cli(capsys, "simulate", "--config", *argv)
-            assert code == 0 and json.loads(out)["params"]["t"] == 3.0
+
+    @pytest.mark.parametrize("keys,argv", [
+        ("axes", ["--t", "3"]), ("output", ["--t", "3"]), ("axes", []),
+    ], ids=["axes", "output", "axes-no-duration"])
+    def test_simulate_names_one_sweep_only_key(self, capsys, tmp_path, keys, argv):
+        entries = {"axes": "sweep:\n  axes:\n    - name: t\n      values: [3.0, 7.0]\n",
+                   "output": "output:\n  dir: elsewhere\n"}
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("physics:\n  delta_over_g: 0.0\n" + entries[keys])
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *argv)
+        name = "sweep.axes" if keys == "axes" else "output.dir"
+        assert (code, out, err) == (2, "", f"config error: simulate does not read "
+                                           f"config keys {name}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_input_selector_exits_3(self, capsys, tmp_path, command):
         cfg = tmp_path / "input.yaml"
-        cfg.write_text("sweep:\n  input: randm\n  axes:\n    - name: t\n"
-                       "      values: [0.0]\n")
+        axes = "  axes:\n    - name: t\n      values: [0.0]\n" if command == "sweep" else ""
+        cfg.write_text("sweep:\n  input: randm\n" + axes)
         extra = ["--workers", "1"] if command == "sweep" else ["--t", "1"]
         code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
                                  "--out", str(tmp_path / "out"))
@@ -298,9 +305,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_3(self, capsys, tmp_path, command, where):
         cfg = tmp_path / "seed.yaml"
-        seed = "\n  seed: -1" if where == "config" else ""
-        cfg.write_text(f"sweep:\n  input: random{seed}\n  axes:\n    - name: t\n"
-                       "      values: [1.0]\n")
+        seed = "  seed: -1\n" if where == "config" else ""
+        axes = "  axes:\n    - name: t\n      values: [1.0]\n" if command == "sweep" else ""
+        cfg.write_text(f"sweep:\n  input: random\n{seed}{axes}")
         extra = ["--workers", "1"] if command == "sweep" else ["--t", "1"]
         extra += ["--seed=-1"] if where == "flag" else []
         code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
@@ -371,6 +378,49 @@ class TestExitCodes:
                              "--out", str(tmp_path / "out"))
         assert (code, seen) == (0, [expected])
 
+    @pytest.mark.parametrize("text", ["", "# nothing set\n", "physics:\ncalibrate:\n"],
+                             ids=["empty", "comment", "empty-sections"])
+    def test_empty_config_reads_as_none(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(text)
+        assert run_cli(capsys, "calibrate", "--config", str(cfg), "--horizon-t", "10") == \
+            run_cli(capsys, "calibrate", "--horizon-t", "10")
+
+    @pytest.mark.parametrize("text,message", [
+        ("- physics\n", "config root must be a mapping, got list"),
+        ("physics: 0.1\n", "config section 'physics' must be a mapping"),
+    ], ids=["root", "section"])
+    def test_config_not_a_mapping_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(cfg),
+                                 "--horizon-t", "10")
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("axis,message", [
+        ("values: [1.0]", "sweep axis entries need a name: {'values': [1.0]}"),
+        ("name: t\n      values: 3",
+         "sweep.axes: axis 't': bad value: 'int' object is not iterable"),
+    ], ids=["no-name", "values-scalar"])
+    def test_axis_entry_exits_2(self, capsys, tmp_path, axis, message):
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text(f"sweep:\n  axes:\n    - {axis}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step", ["0.0", "-0.5"])
+    def test_range_step_not_positive_exits_3(self, capsys, tmp_path, step):
+        cfg = tmp_path / "axis.yaml"
+        cfg.write_text("sweep:\n  axes:\n    - name: t\n      start: 1.0\n"
+                       f"      stop: 2.0\n      step: {step}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == "physics validation error: axis t: step must be positive\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("physics: [unclosed\n")
@@ -400,8 +450,10 @@ class TestExitCodes:
 
     def test_physics_validation_exits_3(self, capsys, tmp_path):
         tiny_g = tmp_path / "tiny_g.yaml"
-        tiny_g.write_text("physics:\n  g: 1.0e-310\nsweep:\n  axes:\n"
-                          "    - name: t\n      values: [1.0, 3.0]\n")
+        tiny_g.write_text("physics:\n  g: 1.0e-310\n")
+        tiny_g_sweep = tmp_path / "tiny_g_sweep.yaml"
+        tiny_g_sweep.write_text(tiny_g.read_text() + "sweep:\n  axes:\n"
+                                "    - name: t\n      values: [1.0, 3.0]\n")
         zero_g = tmp_path / "zero_g.yaml"
         zero_g.write_text("physics:\n  g: 0.0\n")
         huge_g = tmp_path / "huge_g.yaml"
@@ -410,6 +462,7 @@ class TestExitCodes:
         out_path = tmp_path / "out"
         for argv, name in (
                 (["simulate", "--t", "-1"], "t"),
+                (["simulate", "--t", "3", "--dt-steps", "0"], "dt_steps must be >= 1"),
                 # checked before the total time divides by g
                 (["simulate", "--t", "3", "--config", str(zero_g)], "g must be positive"),
                 # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
@@ -422,7 +475,7 @@ class TestExitCodes:
                 (["calibrate", "--horizon-t", "1e307"], "candidates"),
                 # g^2 underflows, so the lowest Rabi frequency is 0
                 (["simulate", "--config", str(tiny_g), "--t", "1"], "underflow"),
-                (["sweep", "--config", str(tiny_g), "--workers", "1"], "underflow"),
+                (["sweep", "--config", str(tiny_g_sweep), "--workers", "1"], "underflow"),
                 # the base is valid, but delta_over_g = 10 overflows the Rabi frequency
                 (["sweep", "--config", str(huge_g), "--workers", "1"], "Rabi"),
                 (["sweep", "--config", str(huge_g), "--workers", "2"], "Rabi")):
@@ -530,13 +583,15 @@ class TestSingleSource:
             assert set(schema.get("physics", ())) <= {f.name for f in fields(SimParams)}
             assert set(schema.get("stepper", ())) <= {f.name for f in fields(StepperConfig)}
 
-    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
-                             ids=os.path.basename)
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
     def test_shipped_configs_load(self, path):
-        for command in ("simulate", "sweep"):
-            args = cli.build_parser().parse_args([command, "--config", path])
-            config = cli._load_config(path, command)
-            assert isinstance(cli._sim_params(args, config), SimParams)
+        # each shipped config is a sweep, whose keys simulate does not read
+        with pytest.raises(ConfigError) as exc:
+            cli._load_config(path, "simulate")
+        assert f"config error: {exc.value}\n" == SWEEP_ONLY
+        args = cli.build_parser().parse_args(["sweep", "--config", path])
+        config = cli._load_config(path, "sweep")
+        assert isinstance(cli._sim_params(args, config), SimParams)
         assert cli._sweep_axes(config)
 
 
@@ -702,6 +757,27 @@ class TestCalibrateCommand:
         code, out, err = run_cli(capsys, "calibrate", *argv, *flags)
         assert (code, out) == (2, "")
         assert "calibrate.horizon_t" in err and "calibrate.ratios" in err
+
+    @pytest.mark.parametrize("config,flags,given", [
+        ("", ["--delta-over-g", "3"], "physics.delta_over_g"),
+        # checked before the physics: a detuning that overflows exits 2, not 3
+        ("", ["--delta-over-g", "1e200"], "physics.delta_over_g"),
+        ("", ["--horizon-t", "10"], "calibrate.horizon_t"),
+        ("physics:\n  g: 0.1\n", [], "physics.g"),
+        ("physics:\n  g: 0.1\n", ["--delta-over-g", "3", "--horizon-t", "10"],
+         "calibrate.horizon_t, physics.g, physics.delta_over_g"),
+    ], ids=["delta-flag", "delta-overflow", "horizon-flag", "g-config", "all"])
+    def test_ratios_take_no_other_setting(self, capsys, tmp_path, config, flags, given):
+        # the detuning table depends on the ratios alone: no setting is dropped silently
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] if config else []
+        code, out, err = run_cli(capsys, "calibrate", "--ratios", "14/15", *argv, *flags,
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == ("config error: calibrate.ratios (--ratios) takes no other "
+                       f"setting, got {given}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ratios", "one-half")

@@ -198,6 +198,12 @@ class TestStateWrappers:
         with pytest.raises(PhysicsValidationError):
             fock.DensityMatrix(space, bad)
 
+    def test_density_matrix_trace_below_one(self, space):
+        # the pipeline measures trace drift from 1: a half-trace input would
+        # fail its cavity stage as if the step size were too large
+        with pytest.raises(PhysicsValidationError, match="trace 0.5 is not 1"):
+            fock.DensityMatrix(space, 0.5 * circuit.p_test(space).matrix)
+
     def test_density_matrix_trace_bound(self, space):
         mat = np.zeros((space.dim, space.dim), dtype=complex)
         mat[0, 0] = 1.5

@@ -608,6 +608,17 @@ class TestEvolve:
                            match=r"eigenvalue -2\.000e-01 below -0\.1 after the cavity stage"):
             lindblad._check_state(stack, 0)
 
+    def test_check_state_non_finite_and_drift(self):
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        bad = rho.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(DiagnosticError,
+                           match="non-finite density matrix entries after 7 steps"):
+            lindblad._check_state(np.stack([rho, bad]), 7)
+        with pytest.raises(DiagnosticError, match=r"trace drift 5\.000e-01 exceeds "
+                                                  r"1\.0e-03 after the cavity stage"):
+            lindblad._check_state(np.stack([rho, 0.5 * rho]), 0)
+
     def test_blowup_raises_diagnostic_error(self):
         # a huge dissipative step drives the state far from positivity
         dim = 3

@@ -342,6 +342,12 @@ class TestDetunedOptimum:
                                              base=FAST_BASE, rounds=2)
         assert refined[2] <= coarse[2]
 
+    def test_every_point_failing_raises(self):
+        # an enormous dissipative step fails every point: there is no optimum
+        base = SimParams(t=150.0, ly_over_g=1.0, stepper=StepperConfig(dt_steps=1))
+        with pytest.raises(PhysicsValidationError, match="no successful records"):
+            sweep.find_detuned_optimum((149.0, 150.0), (0.0,), base=base, rounds=0)
+
     def test_local_rescans_have_no_duplicate_points(self, monkeypatch):
         # the refinement window is clipped at the detuning domain edge
         grids = []
