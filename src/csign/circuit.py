@@ -46,15 +46,17 @@ BATCH_SLICE = 32
 class SimParams:
     """All dimensionless knobs of one gate-array run.
 
-    ``t`` is the gate duration in units where the two-photon sector completes
-    half a resonant exchange cycle per unit: T_abs = t * pi / (sqrt(2) g).
+    The coupling g, ``PhysParams``'s default 0.1, is the unit of time and of
+    leak.  ``t`` is the gate duration in units where the two-photon sector
+    completes half a resonant exchange cycle per unit: T_abs = t * pi /
+    (sqrt(2) g).  g enters a run only through kappa/g = (ly/g)^2 g, so the
+    run at a coupling g' is the run at ly/g times sqrt(g'/g).
     """
 
     t: float
     delta_over_g: float = 0.0
     ly_over_g: float = 0.0
     phs: int = 1
-    g: float = 0.1
     stepper: StepperConfig = field(default_factory=StepperConfig)
 
     def __post_init__(self):
@@ -67,21 +69,19 @@ class SimParams:
             raise PhysicsValidationError(f"phs flag must be the int 0 or 1, got {self.phs!r}")
         if self.ly_over_g < 0:
             raise PhysicsValidationError(f"ly_over_g must be >= 0, got {self.ly_over_g}")
-        self.phys  # checks g before total_time divides by it, and before any point runs
+        self.phys  # checks the detuning before any point runs
         if not math.isfinite(self.total_time):
-            raise PhysicsValidationError(
-                f"duration t = {self.t} at g = {self.g} overflows the total time")
-        if not math.isfinite((self.ly_over_g * self.g) * (self.ly_over_g * self.g)):
-            raise PhysicsValidationError(
-                f"ly_over_g = {self.ly_over_g} at g = {self.g} overflows the leak rate")
+            raise PhysicsValidationError(f"duration t = {self.t} overflows the total time")
+        if not math.isfinite((self.ly_over_g * PhysParams.g) * (self.ly_over_g * PhysParams.g)):
+            raise PhysicsValidationError(f"ly_over_g = {self.ly_over_g} overflows the leak rate")
 
     @property
     def total_time(self) -> float:
-        return self.t * math.pi / (math.sqrt(2.0) * self.g)
+        return self.t * math.pi / (math.sqrt(2.0) * PhysParams.g)
 
     @property
     def phys(self) -> PhysParams:
-        return PhysParams(g=self.g, delta=self.delta_over_g * self.g)
+        return PhysParams(delta=self.delta_over_g * PhysParams.g)
 
     def as_dict(self) -> dict:
         # everything that affects the numbers, for reports and sweep manifests
@@ -281,7 +281,7 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
     Returns one outcome per point, in order: its :class:`GateReport`, or the
     exception that the point raised.  The ideal reference and the first
     splitter run once.  The points are grouped by Hamiltonian and step
-    count, that is by ``(g, delta_over_g, dt_steps)``, in slices of at most
+    count, that is by ``(delta_over_g, dt_steps)``, in slices of at most
     ``BATCH_SLICE``, the one bound on a stack, lossless or leaky.  Each slice
     runs as stacked calls: one ``lindblad.transit``, which names each point's
     path and step count, one state check, then the shifter, the second
@@ -308,10 +308,9 @@ def run_batch(rho_in: fock.DensityMatrix, params_seq: Sequence[SimParams],
         return [exc] * len(params_seq)
     shared_ms = (time.perf_counter() - started) * 1e3 / max(1, len(params_seq))
 
-    slices = {}  # (g, delta_over_g) fixes the Hamiltonian; one step count per slice
+    slices = {}  # delta_over_g fixes the Hamiltonian; one step count per slice
     for k, params in enumerate(params_seq):
-        slices.setdefault((params.g, params.delta_over_g, params.stepper.dt_steps),
-                          []).append(k)
+        slices.setdefault((params.delta_over_g, params.stepper.dt_steps), []).append(k)
     outcomes = [None] * len(params_seq)
     for ks in slices.values():
         for start in range(0, len(ks), BATCH_SLICE):
@@ -337,7 +336,7 @@ def _run_slice(stage_in, ideal_full, params_seq, space, use_ideal_ns, shared_ms)
             phi, steps, paths = np.zeros(n), [0] * n, ["ideal_ns"] * n
         else:
             phys = params_seq[0].phys
-            lys = [p.ly_over_g * p.g for p in params_seq]
+            lys = [p.ly_over_g * phys.g for p in params_seq]
             phi = np.array([compensating_phase(phys, p.total_time) if p.phs else 0.0
                             for p in params_seq])
             h = build_array_hamiltonian(space, phys, frame="rotating")

@@ -3,14 +3,18 @@
 Configuration is a YAML key-value tree of sections.  Each command accepts
 only the keys it applies (:data:`CONFIG_SCHEMA`): ``simulate`` reads
 ``physics``, ``stepper``, ``sweep.input`` and ``sweep.seed``, ``sweep`` also
-``sweep.axes`` and ``output.dir``, and ``calibrate`` ``physics.g``,
-``physics.delta_over_g`` and ``calibrate``.  Any other key, a wrongly typed
-value, a swept value set by a flag or physics key, and ``calibrate.ratios``
-with any other setting are config errors.  A sweep axis takes ``values`` or
-``start``/``stop``/``step``.  Flags override the config file; the physics
-and stepper defaults are those of :class:`~csign.circuit.SimParams` and
-:class:`~csign.lindblad.StepperConfig`.  Exit codes: 0 ok, 2 config error,
-3 physics validation error, 4 numerical diagnostic error.
+``sweep.axes`` and ``output.dir``, and ``calibrate`` ``physics.delta_over_g``
+and ``calibrate``.  No command takes the coupling g: it is the unit (see
+:class:`~csign.circuit.SimParams`).  Any other key, a wrongly typed value, a
+swept value set by a flag or physics key, and ``calibrate.ratios`` with any
+other setting are config errors, and so are a ``calibrate`` with neither
+``calibrate.horizon_t`` nor ratios, and a ``simulate`` seed whose input is
+not ``random``.  A ``sweep`` takes a seed with any input: its manifest
+records it.  A sweep axis takes ``values`` or ``start``/``stop``/``step``.
+Flags override the config file; the physics and stepper defaults are those of
+:class:`~csign.circuit.SimParams` and :class:`~csign.lindblad.StepperConfig`.
+Exit codes: 0 ok, 2 config error, 3 physics validation error, 4 numerical
+diagnostic error.
 
 Each command imports only what it runs: yaml only with ``--config``, numpy
 (through circuit, fock and lindblad) only in ``simulate`` and ``sweep``, and
@@ -43,13 +47,12 @@ if TYPE_CHECKING:
 
 # per command, each config key it applies with the type its value must have (a
 # float key also takes a YAML int); sweep also reads its axes and output directory
-_RUN = {"physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int,
-                    "g": float},
+_RUN = {"physics": {"t": float, "delta_over_g": float, "ly_over_g": float, "phs": int},
         "stepper": {"dt_steps": int}, "sweep": {"input": str, "seed": int}}
 CONFIG_SCHEMA = {
     "simulate": _RUN,
     "sweep": {**_RUN, "sweep": {"axes": list, **_RUN["sweep"]}, "output": {"dir": str}},
-    "calibrate": {"physics": {"g": float, "delta_over_g": float},
+    "calibrate": {"physics": {"delta_over_g": float},
                   "calibrate": {"horizon_t": float, "ratios": list}},
 }
 
@@ -141,9 +144,11 @@ def cmd_simulate(args) -> int:
     from . import circuit, fock
 
     config = _load_config(args.config, args.command)
+    run = _settings(args, config, "sweep")
+    if "seed" in run and run.get("input") != "random":
+        raise ConfigError("sweep.seed (--seed) applies only with sweep.input (--input) random")
     params = _sim_params(args, config)
     space = fock.default_state_space()
-    run = _settings(args, config, "sweep")
     state = circuit.input_state(run.get("input", "p_test"), run.get("seed", 0), space)
     _start_collector()
     report = circuit.run_array(state, params, space)
@@ -269,11 +274,13 @@ def cmd_calibrate(args) -> int:
         for row in calibrate.detuning_table(texts):
             lines.append(f"{row['r']},{row['d']!r},{row['roundtrip_residual']!r}")
     else:
-        g = physics.get("g", PhysParams.g)
-        params = PhysParams(g=g, delta=physics.get("delta_over_g", 0.0) * g)
+        params = PhysParams(delta=physics.get("delta_over_g", 0.0) * PhysParams.g)
+        if "horizon_t" not in section:
+            raise ConfigError("calibrate needs calibrate.horizon_t (--horizon-t) or a "
+                              "non-empty calibrate.ratios (--ratios)")
         lines.append("t,delta_over_g,residual")
         _start_collector()
-        for row in calibrate.candidate_table(params, section.get("horizon_t", 0.0)):
+        for row in calibrate.candidate_table(params, section["horizon_t"]):
             lines.append(f"{row['t']!r},{row['delta_over_g']!r},{row['residual']!r}")
 
     _write_output(args.out, "\n".join(lines) + "\n")

@@ -182,6 +182,6 @@ class TestGateError:
             p = PhysParams(g=G, delta=delta_over_g * G)
             rows = calibrate.candidate_table(p, rng.uniform(1, 100))
             row = rows[int(rng.integers(len(rows)))]
-            params = circuit.SimParams(t=row["t"], delta_over_g=row["delta_over_g"], g=G)
+            params = circuit.SimParams(t=row["t"], delta_over_g=row["delta_over_g"])
             assert row["residual"] == pytest.approx(
                 circuit.run_array(probe, params, space).error, abs=1e-12, rel=0)

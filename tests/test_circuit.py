@@ -260,7 +260,7 @@ class TestRunArray:
         stage_in = fock.DensityMatrix(space, b @ probe.matrix @ b.conj().T, check=False)
         for ly_over_g in (0.0, 0.1):
             params = SimParams(t=2.0, delta_over_g=1.1, ly_over_g=ly_over_g)
-            jumps = params.ly_over_g * params.g * lindblad.leak_operators(space)
+            jumps = params.ly_over_g * params.phys.g * lindblad.leak_operators(space)
             channels = [lindblad.LindbladChannel(j) for j in jumps] if ly_over_g else []
             lab, rot = (lindblad.evolve(
                 stage_in, build_array_hamiltonian(space, params.phys, frame=frame),
@@ -397,7 +397,7 @@ class TestClosedFormTransit:
         monkeypatch.setattr(lindblad, "closed_form", closed_form_spy)
         params = SimParams(t=3.0, ly_over_g=0.01, stepper=FAST)
         report = circuit.run_array(probe, params, space)
-        leak = [params.ly_over_g * params.g]
+        leak = [params.ly_over_g * params.phys.g]
         assert calls == [("stepped", 2, leak, [params.total_time])]
         assert (report.propagation, report.n_steps) == ("stepped", 400)
         lossless = circuit.run_array(probe, SimParams(t=3.0, stepper=FAST), space)

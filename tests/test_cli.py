@@ -144,6 +144,32 @@ class TestSimulate:
                              "--input", "random", "--seed", "5")
         assert json.loads(out1)["error"] == json.loads(out2)["error"]
 
+    @pytest.mark.parametrize("config,flags", [
+        ("", ["--seed", "5"]),
+        ("", ["--seed", "0", "--input", "p_test"]),
+        ("sweep:\n  seed: 5\n", []),
+        ("sweep:\n  seed: 5\n  input: random\n", ["--input", "p_test"]),
+    ], ids=["flag", "zero-flag", "config", "input-flag"])
+    def test_seed_without_random_input_exits_2(self, capsys, tmp_path, config, flags):
+        # p_test reads no seed: a seed given with it is not dropped silently
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] if config else []
+        code, out, err = run_cli(capsys, "simulate", "--t", "3", *argv, *flags,
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", "config error: sweep.seed (--seed) applies "
+                                           "only with sweep.input (--input) random\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_records_a_seed_with_any_input(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("sweep:\n  seed: 5\n  axes:\n    - name: t\n      values: [3.0]\n")
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1",
+                             "--out", str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (code, manifest["spec"]["input_state"], manifest["spec"]["seed"]) == \
+            (0, "p_test", 5)
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2_and_names_key(self, capsys, tmp_path):
@@ -215,8 +241,10 @@ class TestExitCodes:
          "warp.speed, physics.warp"),
         ("calibrate:\n", "calibrate"),
         ("physics:\n  t: fast\n  warp: 9\n", "physics.warp"),
+        # the coupling is the unit: a run at another g is a run at scaled ly_over_g
+        ("physics:\n  g: 0.2\n", "physics.g"),
     ], ids=["calibrate-key", "calibrate-keys-and-section", "unknown-section",
-            "empty-calibrate-section", "before-type-check"])
+            "empty-calibrate-section", "before-type-check", "coupling"])
     def test_key_not_read_exits_2_and_names_it_once(self, capsys, tmp_path, command,
                                                      text, keys):
         cfg = tmp_path / "run.yaml"
@@ -437,11 +465,11 @@ class TestExitCodes:
         if kind == "directory":
             cfg.mkdir()
         elif kind == "not-text":
-            cfg.write_bytes(b"\xff\xfephysics:\n  g: 0.1\n")
+            cfg.write_bytes(b"\xff\xfephysics:\n  delta_over_g: 0.0\n")
         else:
             if os.geteuid() == 0:
                 pytest.skip("root reads a file whatever its permission bits")
-            cfg.write_text("physics:\n  g: 0.1\n")
+            cfg.write_text("physics:\n  delta_over_g: 0.0\n")
             cfg.chmod(0)
         code, out, err = run_cli(capsys, "calibrate", "--config", str(cfg),
                                  "--horizon-t", "3")
@@ -449,22 +477,13 @@ class TestExitCodes:
         assert f"cannot read config file {cfg}" in err
 
     def test_physics_validation_exits_3(self, capsys, tmp_path):
-        tiny_g = tmp_path / "tiny_g.yaml"
-        tiny_g.write_text("physics:\n  g: 1.0e-310\n")
-        tiny_g_sweep = tmp_path / "tiny_g_sweep.yaml"
-        tiny_g_sweep.write_text(tiny_g.read_text() + "sweep:\n  axes:\n"
-                                "    - name: t\n      values: [1.0, 3.0]\n")
-        zero_g = tmp_path / "zero_g.yaml"
-        zero_g.write_text("physics:\n  g: 0.0\n")
-        huge_g = tmp_path / "huge_g.yaml"
-        huge_g.write_text("physics:\n  g: 2.0e+153\n  t: 1.0\nsweep:\n  axes:\n"
-                          "    - name: delta_over_g\n      values: [0.0, 10.0]\n")
+        huge_ly = tmp_path / "huge_ly.yaml"
+        huge_ly.write_text("physics:\n  ly_over_g: 1.0e+200\nsweep:\n  axes:\n"
+                           "    - name: t\n      values: [1.0, 3.0]\n")
         out_path = tmp_path / "out"
         for argv, name in (
                 (["simulate", "--t", "-1"], "t"),
                 (["simulate", "--t", "3", "--dt-steps", "0"], "dt_steps must be >= 1"),
-                # checked before the total time divides by g
-                (["simulate", "--t", "3", "--config", str(zero_g)], "g must be positive"),
                 # finite, but the Rabi frequency sqrt(delta^2 + 8 g^2) overflows
                 (["calibrate", "--horizon-t", "10", "--delta-over-g", "1e200"], "delta"),
                 (["simulate", "--t", "3", "--delta-over-g", "1e200"], "delta"),
@@ -473,12 +492,9 @@ class TestExitCodes:
                 # finite, but the total time t pi / (sqrt(2) g) overflows
                 (["simulate", "--t", "1e308"], "total time"),
                 (["calibrate", "--horizon-t", "1e307"], "candidates"),
-                # g^2 underflows, so the lowest Rabi frequency is 0
-                (["simulate", "--config", str(tiny_g), "--t", "1"], "underflow"),
-                (["sweep", "--config", str(tiny_g_sweep), "--workers", "1"], "underflow"),
-                # the base is valid, but delta_over_g = 10 overflows the Rabi frequency
-                (["sweep", "--config", str(huge_g), "--workers", "1"], "Rabi"),
-                (["sweep", "--config", str(huge_g), "--workers", "2"], "Rabi")):
+                # the sweep's base fails, so no point runs
+                (["sweep", "--config", str(huge_ly), "--workers", "1"], "leak rate"),
+                (["sweep", "--config", str(huge_ly), "--workers", "2"], "leak rate")):
             code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
             assert (code, out) == (3, ""), argv
             assert name in err and len(err.splitlines()) == 1, argv
@@ -497,12 +513,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,entry", [
         ("simulate", "physics:\n  t: .nan"),
-        ("simulate", "physics:\n  g: .inf"),
+        ("simulate", "physics:\n  ly_over_g: .inf"),
         ("sweep", "sweep:\n  axes:\n    - name: t\n      start: 1.0\n"
                   "      stop: .inf\n      step: 0.5"),
         ("calibrate", "calibrate:\n  horizon_t: .inf"),
         ("calibrate", "physics:\n  delta_over_g: -.inf"),
-    ], ids=["t", "g", "axis-stop", "horizon_t", "delta_over_g"])
+    ], ids=["t", "ly_over_g", "axis-stop", "horizon_t", "delta_over_g"])
     def test_non_finite_config_value_exits_3(self, capsys, tmp_path, command, entry):
         cfg = tmp_path / "nonfinite.yaml"
         cfg.write_text(entry + "\n")
@@ -721,20 +737,19 @@ class TestCalibrateCommand:
 
     def test_config_key_not_read_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text("physics:\n  t: 5.0\n  ly_over_g: 0.5\n  phs: 0\n"
+        cfg.write_text("physics:\n  t: 5.0\n  ly_over_g: 0.5\n  phs: 0\n  g: 0.2\n"
                        "stepper:\n  dt_steps: 3\nsweep:\n  input: random\n  seed: 9\n"
                        "output:\n  dir: elsewhere\n")
         code, out, err = run_cli(capsys, "calibrate", "--config", str(cfg),
                                  "--horizon-t", "100.5")
         assert (code, out) == (2, "")
-        for key in ("physics.t", "physics.ly_over_g", "physics.phs", "stepper.dt_steps",
-                    "sweep.input", "sweep.seed", "output.dir"):
+        for key in ("physics.t", "physics.ly_over_g", "physics.phs", "physics.g",
+                    "stepper.dt_steps", "sweep.input", "sweep.seed", "output.dir"):
             assert key in err
 
     def test_config_keys_read(self, capsys, tmp_path):
         cfg = tmp_path / "cal.yaml"
-        cfg.write_text("physics:\n  g: 0.1\n  delta_over_g: 0.0\n"
-                       "calibrate:\n  horizon_t: 100.5\n")
+        cfg.write_text("physics:\n  delta_over_g: 0.0\ncalibrate:\n  horizon_t: 100.5\n")
         code, out, _ = run_cli(capsys, "calibrate", "--config", str(cfg))
         assert code == 0
         assert out == run_cli(capsys, "calibrate", "--horizon-t", "100.5")[1]
@@ -763,10 +778,10 @@ class TestCalibrateCommand:
         # checked before the physics: a detuning that overflows exits 2, not 3
         ("", ["--delta-over-g", "1e200"], "physics.delta_over_g"),
         ("", ["--horizon-t", "10"], "calibrate.horizon_t"),
-        ("physics:\n  g: 0.1\n", [], "physics.g"),
-        ("physics:\n  g: 0.1\n", ["--delta-over-g", "3", "--horizon-t", "10"],
-         "calibrate.horizon_t, physics.g, physics.delta_over_g"),
-    ], ids=["delta-flag", "delta-overflow", "horizon-flag", "g-config", "all"])
+        ("physics:\n  delta_over_g: 0.0\n", [], "physics.delta_over_g"),
+        ("physics:\n  delta_over_g: 0.0\n", ["--horizon-t", "10"],
+         "calibrate.horizon_t, physics.delta_over_g"),
+    ], ids=["delta-flag", "delta-overflow", "horizon-flag", "delta-config", "all"])
     def test_ratios_take_no_other_setting(self, capsys, tmp_path, config, flags, given):
         # the detuning table depends on the ratios alone: no setting is dropped silently
         cfg = tmp_path / "cal.yaml"
@@ -782,6 +797,24 @@ class TestCalibrateCommand:
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ratios", "one-half")
         assert code == 2
+
+    @pytest.mark.parametrize("config,flags", [
+        ("", []),
+        ("", ["--delta-over-g", "3"]),
+        ("calibrate:\n  ratios: []\n", []),
+        ("calibrate:\n", []),
+    ], ids=["nothing", "delta-only", "empty-ratios", "empty-section"])
+    def test_no_table_exits_2(self, capsys, tmp_path, config, flags):
+        # a header with no table asked for is an error, not an empty table
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] if config else []
+        code, out, err = run_cli(capsys, "calibrate", *argv, *flags,
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", "config error: calibrate needs "
+                                           "calibrate.horizon_t (--horizon-t) or a non-empty "
+                                           "calibrate.ratios (--ratios)\n")
+        assert not (tmp_path / "out").exists()
 
 
 #: the costly imports the start-up tests watch: the third-party packages,
@@ -832,7 +865,8 @@ class TestStartupImports:
         assert modules_after() == []
 
     @pytest.mark.parametrize("argv", [
-        ["--horizon-t", "100.5"], ["--ratios", "5/7", "14/15"], ["--out", "{out}"],
+        ["--horizon-t", "100.5"], ["--ratios", "5/7", "14/15"],
+        ["--out", "{out}", "--horizon-t", "100.5"],
     ], ids=lambda argv: argv[0])
     def test_calibrate_loads_neither(self, tmp_path, argv):
         argv = [arg.format(out=tmp_path / "table.csv") for arg in argv]

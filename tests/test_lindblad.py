@@ -448,7 +448,7 @@ class TestTransit:
         # point's own jumps as channels) and run_batch (always both leak
         # jumps) report the same path and step count
         params = circuit.SimParams(t=t, ly_over_g=ly_over_g, stepper=StepperConfig(dt_steps=200))
-        ly, jumps = ly_over_g * params.g, lindblad.leak_operators(space)[:2 if stack else 0]
+        ly, jumps = ly_over_g * params.phys.g, lindblad.leak_operators(space)[:2 if stack else 0]
         h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
         _, steps, paths = lindblad.transit(probe.matrix, h, jumps, [ly], [params.total_time],
                                            params.stepper)
@@ -695,7 +695,7 @@ class TestExactMasterEquation:
         bs = circuit.beamsplitter_unitary(("x1", "y1"), space)
         stage_in = dm(space, bs @ probe.matrix @ bs.conj().T)
         h = dynamics.build_array_hamiltonian(space, params.phys, frame="rotating")
-        jumps = params.ly_over_g * params.g * lindblad.leak_operators(space)
+        jumps = params.ly_over_g * params.phys.g * lindblad.leak_operators(space)
         channels = [LindbladChannel(j) for j in jumps]
         exact = exact_master_equation(stage_in.matrix, h, list(jumps), params.total_time)
         gaps = []
