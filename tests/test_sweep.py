@@ -199,6 +199,18 @@ class TestRunSweep:
         assert math.isnan(records[0].error)
         assert "DiagnosticError" in records[0].message
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_point_raises_before_any_point_runs(self, monkeypatch, pool_sizes,
+                                                        workers):
+        # ly_over_g = 1e160 would overflow the leak rate; the axis domain
+        # refuses it first, so the spec never exists and no sweep gets to start
+        batches = []
+        monkeypatch.setattr(circuit, "run_batch", lambda *args: batches.append(args))
+        with pytest.raises(PhysicsValidationError, match=r"ly_over_g: value 1e\+160 outside"):
+            spec = SweepSpec(axes=(Axis("ly_over_g", (0.0, 1e160)),), base=FAST_BASE)
+            sweep.run_sweep(spec, workers=workers)
+        assert (pool_sizes, batches) == ([], [])
+
     def test_every_domain_corner_is_a_valid_point(self):
         # each SimParams check reads one parameter, which AXIS_DOMAINS bounds:
         # no in-domain grid point of a valid base fails validation
